@@ -245,6 +245,8 @@ def cmd_evolve(args):
         "grid": args.grid,
         "dealias": not args.no_dealias,
     }
+    if "flushed_parts" in traj.params:
+        params["flushed_parts"] = traj.params["flushed_parts"]
     _write_manifest(args.out_prefix, "evolve", params, outputs, started)
     return 0
 

@@ -23,6 +23,19 @@ import numpy as np
 from .fields import PARSEVAL, _wrap
 from .operators import bar_coupling_factors
 
+# Over t ~ 1/nu the integrating factor exp(-nu k^2 t) drives the high modes
+# of the linear state into IEEE subnormals, where arithmetic runs several
+# times slower.  So every FLUSH_EVERY steps, before that step is recorded,
+# each real or imaginary part with |x| < FLUSH_BELOW is set to zero.  This
+# is safe:
+# * the square of a flushed part is below 1e-580, which underflows to
+#   exactly 0, so it adds nothing to l2, enstrophy or grad_norm_sq;
+# * the test |x| < FLUSH_BELOW is symmetric in sign, so the flush commutes
+#   exactly with the parity map J = S.P, (J w)(k) = (-1)^k w(-k) on each
+#   row, and with conjugation.
+FLUSH_EVERY = 64
+FLUSH_BELOW = 1e-290
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -35,7 +48,6 @@ class IntegratorConfig:
     dt: float
     t_final: float
     sample_every: int = 1
-    scheme: str = "if-rk4"
     dealias: bool = True
     grid: int | None = None
 
@@ -46,8 +58,6 @@ class IntegratorConfig:
             raise ValueError("t_final must be nonnegative")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if self.scheme != "if-rk4":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @property
     def n_steps(self):
@@ -83,15 +93,14 @@ class DecayFit:
     n_samples: int
 
 
-def _raw_max_pq(coeffs, nx, ny):
-    """Largest anomalous-coordinate magnitude straight off a raw array."""
+def _raw_max_pq(coeffs, ny, even):
+    """Largest anomalous-coordinate magnitude straight off a raw array;
+    ``even`` marks the even wavenumbers k of the rows."""
     worst = float(np.abs(coeffs[:, ny]).max())
-    ks = np.arange(-nx, nx + 1)
-    even = (ks % 2) == 0
     for l in (1, -1):
         row = coeffs[:, l + ny]
         flipped = row[::-1]
-        vals = np.where(even, np.abs(row + flipped), np.abs(row - flipped))
+        vals = np.abs(np.where(even, row + flipped, row - flipped))
         worst = max(worst, float(vals.max()))
     return worst
 
@@ -106,6 +115,7 @@ class _Recorder:
         ks = np.arange(-nx, nx + 1)[:, None]
         ls = np.arange(-ny, ny + 1)[None, :]
         self.lap = (ks * ks + ls * ls).astype(float)
+        self.even = (ks[:, 0] % 2) == 0
         self.times = []
         self.diag = {name: [] for name in
                      ("l2", "enstrophy", "grad_norm_sq", "max_pq", *self.extra)}
@@ -121,7 +131,7 @@ class _Recorder:
         self.diag["l2"].append(math.sqrt(l2_sq))
         self.diag["enstrophy"].append(PARSEVAL * l2_sq)
         self.diag["grad_norm_sq"].append(PARSEVAL * float((self.lap * sq).sum()))
-        self.diag["max_pq"].append(_raw_max_pq(coeffs, self.nx, self.ny))
+        self.diag["max_pq"].append(_raw_max_pq(coeffs, self.ny, self.even))
         view = None
         if self.extra:
             view = _wrap(self.nx, self.ny, coeffs.view(), self.real_valued)
@@ -153,7 +163,9 @@ def evolve_linear(w0, nu, a, variant="full", config=None, extra_diagnostics=None
     row decays purely diffusively.
 
     ``extra_diagnostics`` maps names to callables ``f(field, t) -> float``
-    evaluated at every step (e.g. a weighted-norm diagnostic).
+    evaluated at every step (e.g. a weighted-norm diagnostic).  Tiny parts
+    are flushed to zero every ``FLUSH_EVERY`` steps (module comment); the
+    number of nonzero parts flushed is ``params["flushed_parts"]``.
     """
     if config is None:
         raise ValueError("an IntegratorConfig is required")
@@ -172,6 +184,8 @@ def evolve_linear(w0, nu, a, variant="full", config=None, extra_diagnostics=None
     lpref = -(ls / 2.0)
 
     state = w0.coeffs.astype(complex).copy()
+    parts = state.view(float)
+    flushed = 0
     ka, kb, kc, kd, t1, t2, t3 = (np.empty_like(state) for _ in range(7))
 
     def adv_into(src, t, out):
@@ -209,6 +223,11 @@ def evolve_linear(w0, nu, a, variant="full", config=None, extra_diagnostics=None
         ka *= dt / 6
         state *= e_full
         state += ka
+        if (n + 1) % FLUSH_EVERY == 0:
+            tiny = np.abs(parts) < FLUSH_BELOW
+            tiny &= parts != 0.0
+            flushed += int(np.count_nonzero(tiny))
+            parts[tiny] = 0.0
         rec.record(n + 1, (n + 1) * dt, state)
     if rec.field_times[-1] != rec.times[-1]:
         rec.field_times.append(rec.times[-1])
@@ -221,6 +240,7 @@ def evolve_linear(w0, nu, a, variant="full", config=None, extra_diagnostics=None
             "variant": variant,
             "dt": dt,
             "t_final": n_steps * dt,
+            "flushed_parts": flushed,
         }
     )
 

@@ -293,18 +293,20 @@ class EnhancedDecayFit:
     n_samples: int
 
 
-def decay_check(w0, nu, a, t_final, dt, sample_every=1, floor=1e-30, skip_fraction=0.05):
+def decay_check(w0, nu, a, t_final, dt, floor=1e-30, skip_fraction=0.05):
     """Measure the mixed-norm decay of the approximate evolution from w0.
 
     w0 must be free of anomalous content.  The squared norm is fitted as
     amplitude * exp(-rate t) over [skip_fraction * T, T], dropping samples
     below ``floor`` (underflow truncates the window).  Returns the fit with
-    m = rate / sqrt(nu) and k = amplitude / x_norm_sq(w0).
+    m = rate / sqrt(nu) and k = amplitude / x_norm_sq(w0).  The fit reads
+    only the per-step diagnostics, so only the endpoint snapshots are kept.
     """
     ok, viol = is_anomalous_free(w0, tol=1e-8)
     if not ok:
         raise ValueError(f"initial field has anomalous content {viol:.3e}")
-    cfg = IntegratorConfig(dt=dt, t_final=t_final, sample_every=sample_every)
+    n_steps = IntegratorConfig(dt=dt, t_final=t_final).n_steps
+    cfg = IntegratorConfig(dt=dt, t_final=t_final, sample_every=max(1, n_steps))
     traj = evolve_linear(
         w0, nu, a, "approximate", cfg,
         extra_diagnostics={"x_norm": x_norm_diagnostic(nu, a)},

@@ -5,7 +5,7 @@ import pytest
 
 import barflow as bf
 from barflow.fields import conjugate_asymmetry
-from barflow.operators import anomalous_generator
+from barflow.operators import anomalous_generator, bar_coupling_factors
 
 
 def integrate_anomalous_ode(u0, nu, a, jmax, sign, dt, t_final):
@@ -147,6 +147,64 @@ class TestEvolveLinear:
             assert traj.diagnostics["enstrophy"][i] == pytest.approx(
                 bf.enstrophy(f), rel=1e-14
             )
+
+
+def unflushed_if_rk4(c0, nu, a, dt, n_steps):
+    """IF-RK4 for the full shear generator with no flush, in the same
+    floating-point operation order as ``evolve_linear``."""
+    nx, ny = (c0.shape[0] - 1) // 2, (c0.shape[1] - 1) // 2
+    ks = np.arange(-nx, nx + 1)[:, None]
+    ls = np.arange(-ny, ny + 1)[None, :]
+    e_half = np.exp(-nu * (ks * ks + ls * ls).astype(float) * (dt / 2))
+    e_full = e_half * e_half
+    fm, fp = bar_coupling_factors(nx, ny, "full")
+
+    def adv(u, t):
+        out = np.zeros_like(u)
+        out[1:] = fm[1:] * u[:-1]
+        out[:-1] -= fp[:-1] * u[1:]
+        return out * (-(ls / 2.0) * (a * math.exp(-nu * t)))
+
+    w = c0.astype(complex)
+    for n in range(n_steps):
+        t = n * dt
+        k1 = adv(w, t)
+        k2 = adv(e_half * (w + dt / 2 * k1), t + dt / 2)
+        k3 = adv(e_half * w + dt / 2 * k2, t + dt / 2)
+        k4 = adv(e_full * w + dt * (e_half * k3), t + dt)
+        w = e_full * w + dt / 6 * (e_full * k1 + 2 * (e_half * (k2 + k3)) + k4)
+    return w
+
+
+def subnormal_parts(c):
+    parts = c.view(float)
+    return int(np.count_nonzero((parts != 0) & (np.abs(parts) < np.finfo(float).tiny)))
+
+
+class TestSubnormalFlush:
+    def test_flushed_run_matches_unflushed(self):
+        # strong diffusion drives the high modes through the subnormal range
+        # within two flush periods
+        n, nu, a, dt = 16, 1.0, 1.0, 0.05
+        n_steps = 2 * bf.evolution.FLUSH_EVERY
+        c = bf.random_field(n, n, 11).coeffs
+        sign = np.where(np.arange(-n, n + 1) % 2 == 0, 1.0, -1.0)[:, None]
+        c = (c + sign * c[::-1, :]) / 2  # J-even and conjugate-symmetric
+        w0 = bf.SpectralField(n, n, c, real_valued=True)
+        cfg = bf.IntegratorConfig(dt=dt, t_final=n_steps * dt, sample_every=n_steps)
+        traj = bf.evolve_linear(w0, nu, a, "full", cfg)
+        got = traj.fields[-1].coeffs
+        want = unflushed_if_rk4(c, nu, a, dt, n_steps)
+        assert subnormal_parts(want) > 0
+        assert traj.params["flushed_parts"] > 0
+
+        l2_want = math.sqrt(float((np.abs(want) ** 2).sum()))
+        assert traj.diagnostics["l2"][-1] == pytest.approx(l2_want, rel=1e-14)
+        # each real and imaginary part moves by less than the threshold
+        assert np.abs(got.view(float) - want.view(float)).max() < bf.evolution.FLUSH_BELOW
+        assert subnormal_parts(got) == 0
+        assert np.array_equal(got, sign * got[::-1, :])
+        assert np.array_equal(got[::-1, ::-1], np.conj(got))
 
 
 class TestEvolveNonlinear:
