@@ -50,7 +50,6 @@ from .eigensolve import (
     ScalingFit,
     Spectrum,
     collapse_table,
-    compute_eigsystem,
     compute_spectrum,
     eigen_residual,
     fit_scaling,

@@ -2,7 +2,8 @@
 
 Outputs are plain CSV (gnuplot/spreadsheet-ready); each subcommand also
 writes a JSON run manifest recording the resolved parameters, package
-version, SHA-256 digests of the outputs, and the wall-clock duration.
+version, SHA-256 digests of the outputs, the wall-clock duration, and the
+numpy/BLAS build and thread settings it ran with.
 Identical flags and seeds reproduce byte-identical CSVs.
 
 Flag values override a ``key=value`` config file (``--config``), which
@@ -17,12 +18,13 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
 import numpy as np
 
-from . import __version__, checks, eigensolve, evolution, fields, hypocoercivity, operators
+from . import __version__, checks, eigensolve, evolution, fields, hypocoercivity
 
 DEFAULTS = {"ell": 2, "trunc": 100, "amp": 1.0}
 
@@ -49,6 +51,20 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _environment():
+    """numpy and BLAS builds, and the settings that fix thread counts."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "threads": {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", eigensolve.THREADS_ENV)
+        },
+    }
+
+
 def _write_manifest(prefix, command, params, outputs, started):
     manifest = {
         "command": command,
@@ -56,6 +72,7 @@ def _write_manifest(prefix, command, params, outputs, started):
         "version": __version__,
         "outputs": {p: _sha256(p) for p in outputs},
         "duration_seconds": time.time() - started,
+        "environment": _environment(),
     }
     path = f"{prefix}.manifest.json"
     with open(path, "w") as fh:
@@ -96,14 +113,6 @@ def _parse_nus(text):
     return nus
 
 
-def _build_operator(variant, ell, trunc, nu, amp):
-    if variant == "symmetrized":
-        return operators.symmetrized_bar_slice(ell, trunc, nu, amp, 0.0)
-    if variant == "adjoint":
-        return operators.adjoint_slice(operators.bar_slice(ell, trunc, nu, amp, 0.0, "full"))
-    return operators.bar_slice(ell, trunc, nu, amp, 0.0, variant)
-
-
 def cmd_spectrum(args):
     started = time.time()
     config = _read_config(args.config)
@@ -113,7 +122,7 @@ def cmd_spectrum(args):
     nu = _resolve(args, config, "nu", float)
     if nu is None:
         raise SystemExit2("--nu is required")
-    op = _build_operator(args.variant, ell, trunc, nu, amp)
+    op = eigensolve.bar_slice_for(ell, trunc, nu, amp, args.variant)
     spec = eigensolve.compute_spectrum(op)
     rows = [(i + 1, lam.real, lam.imag) for i, lam in enumerate(spec.eigenvalues)]
     _write_csv(args.out, ("rank", "re", "im"), rows)
@@ -172,18 +181,19 @@ def cmd_collapse(args):
 
 
 def _initial_field(spec, trunc, seed):
+    """The initial field of ``--init spec`` and the seed it was drawn with
+    (``seed`` itself unless a random spec names its own)."""
     kind, _, arg = spec.partition(":")
     if kind == "zero":
-        return fields.zero_field(trunc, trunc)
+        return fields.zero_field(trunc, trunc), seed
     if kind == "barmode":
-        return fields.bar_state(int(arg or 1), trunc, trunc)
+        return fields.bar_state(int(arg or 1), trunc, trunc), seed
     if kind == "dipole":
-        return fields.dipole_state(int(arg or 1), trunc, trunc)
-    if kind == "random":
-        return fields.random_field(trunc, trunc, int(arg if arg else seed))
-    if kind == "random-fast":
-        w = fields.random_field(trunc, trunc, int(arg if arg else seed))
-        return fields.remove_anomalous(w)
+        return fields.dipole_state(int(arg or 1), trunc, trunc), seed
+    if kind in ("random", "random-fast"):
+        seed = int(arg) if arg else seed
+        w = fields.random_field(trunc, trunc, seed)
+        return (fields.remove_anomalous(w) if kind == "random-fast" else w), seed
     raise SystemExit2(f"unknown init spec {spec!r}")
 
 
@@ -195,8 +205,7 @@ def cmd_evolve(args):
     nu = _resolve(args, config, "nu", float)
     if nu is None:
         raise SystemExit2("--nu is required")
-    seed = args.seed if args.seed is not None else 0
-    w0 = _initial_field(args.init, trunc, seed)
+    w0, seed = _initial_field(args.init, trunc, args.seed if args.seed is not None else 0)
     cfg = evolution.IntegratorConfig(
         dt=args.dt,
         t_final=args.t_final,

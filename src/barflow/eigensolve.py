@@ -3,6 +3,10 @@
 Spectra are computed with LAPACK's general dense solver (Hessenberg
 reduction plus shifted QR, backward stable) via numpy; matrices here are at
 most a few thousand square, so the dense route is the robust default.
+A matrix whose entries are all real is solved in real arithmetic.  A real
+bar slice that commutes with the parity map ``(J w)(k) = (-1)^k w(-k)`` is
+split into its J = +1 and J = -1 sectors, two real blocks of about half
+the size, whose spectra together are the slice's.
 Eigenvalues are sorted by descending real part with ties broken by
 ascending imaginary part, which makes sweep tables and rank-collapse plots
 deterministic.
@@ -74,33 +78,63 @@ def _params_of(op):
     return {}
 
 
+def _checked_matrix(op):
+    mat = np.asarray(op.matrix)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"matrix has non-finite entries: {_params_of(op)}")
+    return mat
+
+
+def _parity_sectors(ks, mat):
+    """The J = +1 and J = -1 blocks of a real matrix on wavenumbers ``ks``,
+    or None unless ``ks`` is symmetric and ``mat`` commutes with J exactly.
+
+    J = +1 vectors satisfy w(-k) = (-1)^k w(k) and are coordinatized by
+    k >= 0; J = -1 vectors satisfy w(-k) = -(-1)^k w(k), so w(0) = 0, and
+    are coordinatized by k >= 1.  Column k > 0 of a block is column k of
+    ``mat`` plus (J = +1) or minus (J = -1) (-1)^k times column -k.
+    """
+    if not np.array_equal(ks, -ks[::-1]):
+        return None
+    sign = np.where(ks % 2 == 0, 1.0, -1.0)
+    if not np.array_equal(mat, np.outer(sign, sign) * mat[::-1, ::-1]):
+        return None
+    half = len(ks) // 2  # columns with k < 0; index ``half`` is k = 0 if present
+    zero = len(ks) - 2 * half
+    mirror = mat[:, :half][:, ::-1] * sign[half + zero :]
+    even = mat[half:, half:].copy()
+    even[:, zero:] += mirror[half:]
+    odd = mat[half + zero :, half + zero :] - mirror[half + zero :]
+    return [even, odd]
+
+
+def _blocks(op, mat):
+    """Matrices whose spectra together are the spectrum of ``mat``."""
+    if np.iscomplexobj(mat):
+        if np.any(mat.imag):
+            return [mat]
+        mat = mat.real
+    if isinstance(op, operators.OperatorSlice):
+        sectors = _parity_sectors(np.asarray(op.wavenumbers), mat)
+        if sectors is not None:
+            return sectors
+    return [mat]
+
+
 def compute_spectrum(op):
     """All eigenvalues of a built operator, sorted.
 
+    Real matrices are solved in real arithmetic, and real bar slices that
+    commute with J one parity sector at a time (see the module docstring).
     Raises ValueError on non-finite entries and RuntimeError (with the
     build parameters attached) if the QR iteration fails to converge.
     """
-    mat = np.asarray(op.matrix)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"matrix has non-finite entries: {_params_of(op)}")
+    mat = _checked_matrix(op)
     try:
-        vals = np.linalg.eigvals(mat)
+        vals = [np.linalg.eigvals(block) for block in _blocks(op, mat)]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed for {_params_of(op)}: {exc}") from exc
-    return Spectrum(_sort(vals), _params_of(op))
-
-
-def compute_eigsystem(op):
-    """Eigenvalues and right eigenvectors, sorted consistently."""
-    mat = np.asarray(op.matrix)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"matrix has non-finite entries: {_params_of(op)}")
-    try:
-        vals, vecs = np.linalg.eig(mat)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed for {_params_of(op)}: {exc}") from exc
-    order = np.lexsort((vals.imag, -vals.real))
-    return Spectrum(vals[order], _params_of(op)), vecs[:, order]
+    return Spectrum(_sort(np.concatenate(vals).astype(complex, copy=False)), _params_of(op))
 
 
 def least_decaying(spectrum):
@@ -145,6 +179,8 @@ def nu_sweep(ell, trunc, nus, amplitude=1.0, variant="full", threads=None):
 def bar_slice_for(ell, trunc, nu, amplitude, variant):
     if variant == "symmetrized":
         return operators.symmetrized_bar_slice(ell, trunc, nu, amplitude, 0.0)
+    if variant == "adjoint":
+        return operators.adjoint_slice(operators.bar_slice(ell, trunc, nu, amplitude, 0.0))
     return operators.bar_slice(ell, trunc, nu, amplitude, 0.0, variant)
 
 
@@ -186,12 +222,15 @@ def collapse_table(ell, trunc, nus, count, amplitude=1.0, variant="full", thread
 
 def eigen_residual(op):
     """max_i ||M v_i - lambda_i v_i|| / (||M|| ||v_i||) over all eigenpairs."""
-    spec, vecs = compute_eigsystem(op)
-    mat = np.asarray(op.matrix)
+    mat = _checked_matrix(op)
+    try:
+        vals, vecs = np.linalg.eig(mat)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver failed for {_params_of(op)}: {exc}") from exc
     mnorm = np.linalg.norm(mat, 2)
     worst = 0.0
     mv = mat @ vecs
-    for i, lam in enumerate(spec.eigenvalues):
+    for i, lam in enumerate(vals):
         r = np.linalg.norm(mv[:, i] - lam * vecs[:, i])
         worst = max(worst, r / (mnorm * np.linalg.norm(vecs[:, i])))
     return worst

@@ -23,8 +23,6 @@ import numpy as np
 
 from .fields import _wrap
 
-VARIANTS = ("full", "approximate", "adjoint", "symmetrized")
-
 
 @dataclass(frozen=True)
 class OperatorSlice:

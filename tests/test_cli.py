@@ -131,6 +131,18 @@ class TestEvolveCommand:
         _, rows = read_csv(prefix + "_diagnostics.csv")
         assert all(float(r[1]) == 0.0 for r in rows)
 
+    def test_manifest_records_seed_of_init_spec(self, tmp_path):
+        prefix = str(tmp_path / "seeded")
+        assert main(["evolve", "--init", "random-fast:7", "--kind", "linear",
+                     "--nu", "0.01", "--trunc", "4", "--t-final", "0.2",
+                     "--dt", "0.1", "--out-prefix", prefix]) == 0
+        manifest = json.loads((tmp_path / "seeded.manifest.json").read_text())
+        assert manifest["params"]["seed"] == 7
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "BARFLOW_THREADS"}
+
     def test_determinism_with_seed(self, tmp_path):
         pa = str(tmp_path / "a")
         pb = str(tmp_path / "b")

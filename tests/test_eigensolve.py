@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import barflow as bf
+from barflow import eigensolve
 
 
 class TestComputeSpectrum:
@@ -47,6 +48,92 @@ class TestComputeSpectrum:
         spec = bf.compute_spectrum(bf.bar_slice(2, 20, 1e-3, 1.0))
         re = spec.eigenvalues.real
         assert np.all(np.diff(re) <= 1e-9 * max(1.0, np.abs(re).max()))
+
+
+def _slices(trunc):
+    """Every kind of bar slice the package builds."""
+    out = [
+        bf.bar_slice(ell, trunc, 1e-3, 1.0, variant=variant)
+        for ell in (1, 2, 3)
+        for variant in ("full", "approximate")
+    ]
+    out += [bf.symmetrized_bar_slice(ell, trunc, 1e-3, 1.0) for ell in (1, 2)]
+    out.append(bf.adjoint_slice(bf.bar_slice(2, trunc, 1e-3, 1.0)))
+    return out
+
+
+def _hausdorff(a, b):
+    dist = np.abs(a[:, None] - b[None, :])
+    return max(dist.min(axis=0).max(), dist.min(axis=1).max())
+
+
+def _parity_map(ks):
+    """(J w)(k) = (-1)^k w(-k) as a dense matrix on the wavenumbers ``ks``."""
+    mirror = {int(k): i for i, k in enumerate(ks)}
+    jmat = np.zeros((len(ks), len(ks)))
+    for i, k in enumerate(ks):
+        jmat[i, mirror[-int(k)]] = (-1.0) ** int(k)
+    return jmat
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("op", _slices(30), ids=lambda op: f"{op.variant}-{op.ell}")
+    def test_slices_commute_with_parity(self, op):
+        jmat = _parity_map(op.wavenumbers)
+        assert np.array_equal(jmat @ op.matrix, op.matrix @ jmat)
+        assert not np.any(op.matrix.imag)
+
+    @pytest.mark.parametrize("op", _slices(30), ids=lambda op: f"{op.variant}-{op.ell}")
+    def test_sector_spectrum_matches_dense_complex(self, op):
+        blocks = eigensolve._parity_sectors(op.wavenumbers, op.matrix.real)
+        assert blocks is not None
+        assert sum(b.shape[0] for b in blocks) == op.dim
+        assert all(b.dtype == np.float64 for b in blocks)
+        got = bf.compute_spectrum(op).eigenvalues
+        want = np.linalg.eigvals(op.matrix)
+        assert len(got) == op.dim
+        assert _hausdorff(got, want) <= 1e-9 * np.abs(want).max()
+
+    def test_parity_breaking_slice_falls_back(self):
+        op = bf.bar_slice(2, 20, 1e-3, 1.0)
+        bad = op.matrix.copy()
+        bad[3, 4] += 0.25
+        broken = bf.OperatorSlice(2, 20, 1e-3, 1.0, 0.0, "full", op.wavenumbers, bad)
+        assert eigensolve._parity_sectors(broken.wavenumbers, bad.real) is None
+        got = bf.compute_spectrum(broken).eigenvalues
+        want = np.linalg.eigvals(bad)
+        assert len(got) == broken.dim
+        assert _hausdorff(got, want) <= 1e-9 * np.abs(want).max()
+
+    def test_complex_slice_falls_back(self):
+        op = bf.bar_slice(2, 20, 1e-3, 1.0)
+        bad = op.matrix.copy()
+        bad[5, 5] += 0.01j
+        broken = bf.OperatorSlice(2, 20, 1e-3, 1.0, 0.0, "full", op.wavenumbers, bad)
+        got = bf.compute_spectrum(broken).eigenvalues
+        want = np.linalg.eigvals(bad)
+        assert len(got) == broken.dim
+        assert _hausdorff(got, want) <= 1e-9 * np.abs(want).max()
+        # the perturbed eigenvalue is not part of a conjugate pair
+        assert not np.allclose(np.sort_complex(got), np.sort_complex(got.conj()))
+
+    @pytest.mark.parametrize("jmax", [3, 10])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_even_sector_matches_anomalous_generator(self, jmax, sign):
+        # the independent hand-written oracle: the closed system for the
+        # anomalous coordinates is the J = +1 sector of the ell = 1 slice
+        op = bf.bar_slice(1, 2 * jmax + 1, 1e-3, 1.0)
+        even, _ = eigensolve._parity_sectors(op.wavenumbers, op.matrix.real)
+        got = np.sort_complex(np.linalg.eigvals(even))
+        want = np.sort_complex(np.linalg.eigvals(bf.anomalous_generator(1e-3, 1.0, 0.0, jmax, sign)))
+        assert np.abs(got - want).max() <= 1e-13
+
+    def test_real_non_slice_matrix(self):
+        op = bf.symmetrized_dipole_operator(4, 1e-3, 1.0)
+        got = bf.compute_spectrum(op).eigenvalues
+        want = np.linalg.eigvals(op.matrix)
+        assert got.dtype == complex
+        assert _hausdorff(got, want) <= 1e-9 * np.abs(want).max()
 
 
 class TestLeastDecaying:
