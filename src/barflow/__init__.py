@@ -27,6 +27,7 @@ from .fields import (
     random_field,
     remove_anomalous,
     save_field,
+    seeded_row_field,
     synthesize,
     zero_field,
 )

@@ -18,16 +18,6 @@ from . import eigensolve, evolution, fields, hypocoercivity, operators
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def _seeded_row_field(nx, ny, ell, seed, decay=0.05):
-    rng = np.random.default_rng(seed)
-    c = np.zeros((2 * nx + 1, 2 * ny + 1), dtype=complex)
-    ks = np.arange(-nx, nx + 1)
-    c[:, ell + ny] = (
-        rng.standard_normal(2 * nx + 1) + 1j * rng.standard_normal(2 * nx + 1)
-    ) * np.exp(-decay * ks * ks)
-    return fields.SpectralField(nx, ny, c, copy=False)
-
-
 # ---------------------------------------------------------------- fields
 
 def check_biot_savart_divergence_free():
@@ -107,14 +97,16 @@ def check_advection_commutes_with_commutator():
 
 
 def check_slice_decomposition():
-    op = operators.bar_slice(2, 8, 0.01, 1.5, t=0.3, variant="approximate")
-    ks = op.wavenumbers
-    delta = np.diag((-0.01 * (ks * ks + 4)).astype(complex))
-    b = operators.advection_matrix(2, 8, 1.5, t=0.3, nu=0.01)
-    err = np.abs(op.matrix - (delta + b)).max()
-    assert err == 0.0, f"approximate slice != diffusion + advection ({err:.3e})"
+    for ell, nu, a, t in ((2, 0.01, 1.5, 0.3), (3, 0.01, 1.3, 0.3)):
+        op = operators.bar_slice(ell, 8, nu, a, t=t, variant="approximate")
+        ks = op.wavenumbers
+        delta = np.diag(-nu * (ks * ks + ell * ell))
+        b = operators.advection_matrix(ell, 8, a, t=t, nu=nu)
+        err = np.abs(op.matrix - (delta + b)).max()
+        assert err == 0.0, f"approximate slice != diffusion + advection ({err:.3e})"
     full = operators.bar_slice(2, 8, 0.01, 1.5, t=0.3, variant="full")
-    corr = full.matrix - op.matrix
+    approx = operators.bar_slice(2, 8, 0.01, 1.5, t=0.3, variant="approximate")
+    corr = full.matrix - approx.matrix
     i = 8  # row k = 0
     expected = -(2 / 2) * 1.5 * math.exp(-0.01 * 0.3) * (-1.0 / ((0 - 1) ** 2 + 4))
     assert abs(corr[i, i - 1] - expected) < 1e-15, "correction factor wrong"
@@ -303,7 +295,7 @@ def check_functional_sandwich():
 
 def check_enhanced_decay():
     nu = 1e-3
-    w0 = _seeded_row_field(40, 3, 2, seed=7)
+    w0 = fields.seeded_row_field(40, 3, 2, seed=7)
     fit = hypocoercivity.decay_check(w0, nu, 1.0, t_final=1000.0, dt=0.25)
     base = evolution.diffusion_rate(w0, nu)
     assert fit.rate >= 5 * base, f"rate {fit.rate:.3e} < 5 x diffusive {base:.3e}"
@@ -322,7 +314,7 @@ def check_dissipation_negative():
     nu = 1e-4
     m0 = hypocoercivity.auto_m0(1.0, 2, nu)
     cst = hypocoercivity.hypo_constants(m0, 1.0, 2, nu)
-    w0 = _seeded_row_field(40, 3, 2, seed=3)
+    w0 = fields.seeded_row_field(40, 3, 2, seed=3)
     cfg = evolution.IntegratorConfig(dt=0.05, t_final=30.0, sample_every=1)
     traj = evolution.evolve_linear(w0, nu, 1.0, "approximate", cfg)
     rep = hypocoercivity.functional_dissipation(traj, cst)

@@ -298,13 +298,7 @@ def cmd_hypo(args):
     )
 
     rng_seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(rng_seed)
-    c = np.zeros((2 * trunc + 1, 2 * abs(ell) + 1), dtype=complex)
-    ks = np.arange(-trunc, trunc + 1)
-    c[:, ell + abs(ell)] = (
-        rng.standard_normal(2 * trunc + 1) + 1j * rng.standard_normal(2 * trunc + 1)
-    ) * np.exp(-0.05 * ks * ks)
-    w0 = fields.SpectralField(trunc, abs(ell), c, copy=False)
+    w0 = fields.seeded_row_field(trunc, abs(ell), ell, rng_seed)
     fit = hypocoercivity.decay_check(w0, nu, amp, args.t_final, args.dt)
     decay_path = f"{args.out_prefix}_decay.csv"
     _write_csv(

@@ -3,10 +3,12 @@
 Spectra are computed with LAPACK's general dense solver (Hessenberg
 reduction plus shifted QR, backward stable) via numpy; matrices here are at
 most a few thousand square, so the dense route is the robust default.
-A matrix whose entries are all real is solved in real arithmetic.  A real
-bar slice that commutes with the parity map ``(J w)(k) = (-1)^k w(-k)`` is
-split into its J = +1 and J = -1 sectors, two real blocks of about half
-the size, whose spectra together are the slice's.
+The operators store their matrices as real (``float64``), and the solver
+follows the dtype: a real matrix is solved in real arithmetic, a complex
+one by the complex solver.  A real bar slice that commutes with the parity
+map ``(J w)(k) = (-1)^k w(-k)`` is split into its J = +1 and J = -1
+sectors, two real blocks of about half the size, whose spectra together
+are the slice's.
 Eigenvalues are sorted by descending real part with ties broken by
 ascending imaginary part, which makes sweep tables and rank-collapse plots
 deterministic.
@@ -111,9 +113,7 @@ def _parity_sectors(ks, mat):
 def _blocks(op, mat):
     """Matrices whose spectra together are the spectrum of ``mat``."""
     if np.iscomplexobj(mat):
-        if np.any(mat.imag):
-            return [mat]
-        mat = mat.real
+        return [mat]
     if isinstance(op, operators.OperatorSlice):
         sectors = _parity_sectors(np.asarray(op.wavenumbers), mat)
         if sectors is not None:
@@ -124,8 +124,9 @@ def _blocks(op, mat):
 def compute_spectrum(op):
     """All eigenvalues of a built operator, sorted.
 
-    Real matrices are solved in real arithmetic, and real bar slices that
-    commute with J one parity sector at a time (see the module docstring).
+    Real-dtype matrices are solved in real arithmetic, and real bar slices
+    that commute with J one parity sector at a time (see the module
+    docstring).
     Raises ValueError on non-finite entries and RuntimeError (with the
     build parameters attached) if the QR iteration fails to converge.
     """

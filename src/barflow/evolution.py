@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PARSEVAL, _wrap
-from .operators import bar_coupling_factors
+from .operators import _coupling_factor, _k_neighbours
 
 # Over t ~ 1/nu the integrating factor exp(-nu k^2 t) drives the high modes
 # of the linear state into IEEE subnormals, where arithmetic runs several
@@ -169,8 +169,6 @@ def evolve_linear(w0, nu, a, variant="full", config=None, extra_diagnostics=None
     """
     if config is None:
         raise ValueError("an IntegratorConfig is required")
-    if variant not in ("full", "approximate"):
-        raise ValueError(f"unknown variant {variant!r}")
     nx, ny = w0.nx, w0.ny
     dt = config.dt
     n_steps = config.n_steps
@@ -180,7 +178,7 @@ def evolve_linear(w0, nu, a, variant="full", config=None, extra_diagnostics=None
     lap = (ks * ks + ls * ls).astype(float)
     e_half = np.exp(-nu * lap * (dt / 2))
     e_full = e_half * e_half
-    fm, fp = bar_coupling_factors(nx, ny, variant)
+    fm, fp = _k_neighbours(_coupling_factor(ks, ls, variant))
     lpref = -(ls / 2.0)
 
     state = w0.coeffs.astype(complex).copy()

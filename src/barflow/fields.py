@@ -379,6 +379,18 @@ def random_field(nx, ny, seed, decay=0.1, real_valued=True):
     return SpectralField(nx, ny, g, real_valued=real_valued, copy=False)
 
 
+def seeded_row_field(nx, ny, ell, seed, decay=0.05):
+    """Seeded field supported on the single row l = ``ell``: complex
+    Gaussian coefficients damped by exp(-decay k^2)."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros((2 * nx + 1, 2 * ny + 1), dtype=complex)
+    ks = np.arange(-nx, nx + 1)
+    c[:, ell + ny] = (
+        rng.standard_normal(2 * nx + 1) + 1j * rng.standard_normal(2 * nx + 1)
+    ) * np.exp(-decay * ks * ks)
+    return SpectralField(nx, ny, c, copy=False)
+
+
 def save_field(field, path):
     """Write the field as CSV: a header carrying nx, ny and the reality
     flag, then one ``k,l,re,im`` row per nonzero coefficient."""

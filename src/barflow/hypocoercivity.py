@@ -36,6 +36,7 @@ import numpy as np
 
 from .evolution import IntegratorConfig, decay_rate_fit, evolve_linear
 from .fields import TWO_PI, is_anomalous_free
+from .operators import _k_neighbours
 
 SQRT2 = math.sqrt(2.0)
 
@@ -122,13 +123,14 @@ class FunctionalSample:
     c_sq: float
 
 
-def _apply_commutator_row(row, ell, a, nu, t):
-    """(C w)(k) = -i (a ell / 2) e^{-nu t} (w(k-1) + w(k+1)), truncated."""
+def _apply_commutator(c, ell, a, nu, t):
+    """(C w)(k) = -i (a ell / 2) e^{-nu t} (w(k-1) + w(k+1)), truncated.
+
+    ``c`` is one row what(k) or a coefficient array with k along its first
+    axis; ``ell`` broadcasts against the remaining axes.
+    """
     amp = a * math.exp(-nu * t)
-    sm = np.zeros_like(row)
-    sm[1:] = row[:-1]
-    sp = np.zeros_like(row)
-    sp[:-1] = row[1:]
+    sm, sp = _k_neighbours(c)
     return -0.5j * amp * ell * (sm + sp)
 
 
@@ -141,7 +143,7 @@ def functional_sample(row, constants, t):
     row = np.asarray(row, dtype=complex)
     n = (len(row) - 1) // 2
     ks = np.arange(-n, n + 1)
-    crow = _apply_commutator_row(row, constants.ell, constants.a, constants.nu, t)
+    crow = _apply_commutator(row, constants.ell, constants.a, constants.nu, t)
     dxrow = 1j * ks * row
     l2_sq = TWO_PI * float(np.sum(np.abs(row) ** 2))
     dx_sq = TWO_PI * float(np.sum(np.abs(dxrow) ** 2))
@@ -172,12 +174,7 @@ def x_norm_sq(field, nu, a, t=0.0, zero_row_tol=1e-10):
         )
     ls = np.arange(-ny, ny + 1)[None, :].astype(float)
     ks = np.arange(-nx, nx + 1)[:, None].astype(float)
-    amp = a * math.exp(-nu * t)
-    sm = np.zeros_like(c)
-    sm[1:, :] = c[:-1, :]
-    sp = np.zeros_like(c)
-    sp[:-1, :] = c[1:, :]
-    crows = -0.5j * amp * ls * (sm + sp)
+    crows = _apply_commutator(c, ls, a, nu, t)
     sq = np.abs(c) ** 2
     l2_rows = sq.sum(axis=0)
     dx_rows = (ks * ks * sq).sum(axis=0)

@@ -8,6 +8,14 @@ returned object.  For the two-dimensional Taylor-Green linearization, rows
 enumerate modes (k, l) in lexicographic order, skipping the excluded set;
 the index map is stored explicitly as ``modes``.
 
+The shear coupling is defined once: mode (k, l) couples to (k +- 1, l)
+through the non-local factor g = 1 - 1/(k^2 + l^2) (:func:`_coupling_factor`,
+1 for the ``approximate`` variant) and the zero-padded neighbour shift
+:func:`_k_neighbours`.  Every slice, dipole operator and field generator
+here is built from those two; :func:`anomalous_generator` keeps its own
+hand-written g as an independent oracle.  All matrices are real and stored
+as ``float64`` except the purely imaginary :func:`commutator_matrix`.
+
 Couplings that would reference a wavenumber outside the truncation are
 dropped, so boundary rows are missing one coupling; identities that involve
 operator products therefore hold exactly only on interior rows.
@@ -95,17 +103,65 @@ def _amplitude(a, nu, t):
     return a * math.exp(-nu * t)
 
 
+def _coupling_factor(k, l, variant="full"):
+    """Non-local factor g(k, l) = 1 - 1/(k^2 + l^2) of the shear coupling,
+    broadcast over ``k`` and ``l``.
+
+    It is 1 at the excluded zero mode k^2 + l^2 = 0, and 1 everywhere for
+    the ``approximate`` variant, which drops the non-local part.
+    """
+    d = np.asarray(k * k + l * l, dtype=float)
+    if variant == "approximate":
+        return np.ones_like(d)
+    if variant != "full":
+        raise ValueError(f"unknown variant {variant!r}")
+    return 1.0 - 1.0 / np.where(d == 0, np.inf, d)
+
+
+def _k_neighbours(c):
+    """``(c(k-1), c(k+1))`` along the first axis, zero outside the
+    truncation."""
+    sm = np.zeros_like(c)
+    sm[1:] = c[:-1]
+    sp = np.zeros_like(c)
+    sp[:-1] = c[1:]
+    return sm, sp
+
+
+def _l_neighbours(c):
+    """``(c(k, l-1), c(k, l+1))`` along the second axis of a 2D array."""
+    sm, sp = _k_neighbours(c.T)
+    return sm.T, sp.T
+
+
+def _banded(diag, couplings):
+    """Dense real matrix over a lattice of modes: ``diag`` (a 1D or 2D
+    array, flattened in C order) on the diagonal, and for each
+    ``offset: v`` of ``couplings`` mode m coupled to mode m + offset with
+    weight v[m].  Couplings that would leave the lattice are dropped."""
+    diag = np.asarray(diag, dtype=float)
+    modes = np.indices(diag.shape).reshape(diag.ndim, -1).T
+    rows = np.arange(diag.size)
+    mat = np.diag(diag.ravel())
+    for offset, v in couplings.items():
+        target = modes + offset
+        inside = np.all((target >= 0) & (target < diag.shape), axis=1)
+        cols = np.ravel_multi_index(tuple(target[inside].T), diag.shape)
+        mat[rows[inside], cols] = np.ravel(v)[inside]
+    return mat
+
+
 def bar_slice(ell, trunc, nu, a, t=0.0, variant="full"):
     """Linearization about the m=1 shear state restricted to one ell row.
 
     Row k carries the diagonal -nu (k^2 + ell^2) and couplings
 
-        column k-1:  -(ell/2) a e^{-nu t} (1 - 1/((k-1)^2 + ell^2))
-        column k+1:  +(ell/2) a e^{-nu t} (1 - 1/((k+1)^2 + ell^2)),
+        column k-1:  -(ell/2) a e^{-nu t} g(k-1, ell)
+        column k+1:  +(ell/2) a e^{-nu t} g(k+1, ell),
 
-    with the parenthesized factors replaced by 1 for the ``approximate``
-    variant (the non-local part dropped).  ell = 0 is rejected: that row of
-    the two-dimensional operator is purely diagonal and is assembled
+    with g = 1 - 1/(m^2 + ell^2) the non-local factor, replaced by 1 for
+    the ``approximate`` variant.  ell = 0 is rejected: that row of the
+    two-dimensional operator is purely diagonal and is assembled
     separately by the evolution routines.
     """
     ell = int(ell)
@@ -113,57 +169,34 @@ def bar_slice(ell, trunc, nu, a, t=0.0, variant="full"):
         raise ValueError("ell = 0 has no band structure; handled as a diagonal block")
     if trunc < 1:
         raise ValueError("trunc must be at least 1")
-    if variant not in ("full", "approximate"):
-        raise ValueError(f"unknown variant {variant!r}")
-    n = 2 * trunc + 1
     ks = np.arange(-trunc, trunc + 1)
-    amp = _amplitude(a, nu, t)
-    mat = np.zeros((n, n), dtype=complex)
-    mat[np.arange(n), np.arange(n)] = -nu * (ks * ks + ell * ell)
-
-    def factor(m):
-        if variant == "approximate":
-            return np.ones_like(m, dtype=float)
-        return 1.0 - 1.0 / (m * m + ell * ell)
-
-    lower_k = ks[1:] - 1  # source mode of the sub-diagonal, rows k = -N+1..N
-    upper_k = ks[:-1] + 1
-    mat[np.arange(1, n), np.arange(0, n - 1)] = -(ell / 2) * amp * factor(lower_k)
-    mat[np.arange(0, n - 1), np.arange(1, n)] = +(ell / 2) * amp * factor(upper_k)
+    gm, gp = _k_neighbours(_coupling_factor(ks, ell, variant))
+    band = -(ell / 2) * _amplitude(a, nu, t)
+    mat = _banded(-nu * (ks * ks + ell * ell), {-1: band * gm, +1: -band * gp})
     return OperatorSlice(ell, trunc, nu, a, t, variant, ks, mat)
 
 
 def advection_matrix(ell, trunc, a, t=0.0, nu=0.0):
     """Skew part of the approximate slice: -i a ell e^{-nu t} (sin x .).
 
-    Row k receives -(a ell / 2) e^{-nu t} from column k-1 and the opposite
+    These are the off-diagonal bands of ``bar_slice(..., "approximate")``:
+    row k receives -(a ell / 2) e^{-nu t} from column k-1 and the opposite
     sign from column k+1; the matrix is real and antisymmetric.
     """
-    ell = int(ell)
-    if ell == 0:
-        raise ValueError("ell = 0 is annihilated by the advection")
-    n = 2 * trunc + 1
-    c = 0.5 * a * ell * _amplitude(1.0, nu, t)
-    mat = np.zeros((n, n), dtype=complex)
-    mat[np.arange(1, n), np.arange(0, n - 1)] = -c
-    mat[np.arange(0, n - 1), np.arange(1, n)] = +c
+    mat = bar_slice(ell, trunc, nu, a, t, "approximate").matrix
+    np.fill_diagonal(mat, 0.0)
     return mat
 
 
 def commutator_matrix(ell, trunc, a, t=0.0, nu=0.0):
     """Commutator of d/dx with the advection: -i a ell e^{-nu t} (cos x .).
 
-    Row k receives -i (a ell / 2) e^{-nu t} from both columns k +- 1.
+    [diag(i k), B] has entries i (k_row - k_col) B[row, col], so row k
+    receives -i (a ell / 2) e^{-nu t} from both columns k +- 1.  The matrix
+    is purely imaginary and the only complex one here.
     """
-    ell = int(ell)
-    if ell == 0:
-        raise ValueError("ell = 0 is annihilated by the advection")
-    n = 2 * trunc + 1
-    c = -0.5j * a * ell * _amplitude(1.0, nu, t)
-    mat = np.zeros((n, n), dtype=complex)
-    mat[np.arange(1, n), np.arange(0, n - 1)] = c
-    mat[np.arange(0, n - 1), np.arange(1, n)] = c
-    return mat
+    ks = np.arange(-trunc, trunc + 1)
+    return 1j * np.subtract.outer(ks, ks) * advection_matrix(ell, trunc, a, t, nu)
 
 
 def adjoint_slice(op):
@@ -181,8 +214,8 @@ def adjoint_slice(op):
 
 
 def symmetrized_bar_slice(ell, trunc, nu, a, t=0.0):
-    """Slice conjugated by sqrt(1 - 1/(k^2 + ell^2)) so the advective part
-    becomes exactly skew-Hermitian.
+    """Slice conjugated by sqrt(g(k, ell)) so the advective part becomes
+    exactly antisymmetric.
 
     For |ell| = 1 the multiplier vanishes at k = 0 and that mode is removed
     from the index set.  The resulting matrix is diagonal-negative plus
@@ -194,17 +227,12 @@ def symmetrized_bar_slice(ell, trunc, nu, a, t=0.0):
     if trunc < 2:
         raise ValueError("trunc must be at least 2")
     ks = np.arange(-trunc, trunc + 1)
-    mult = np.sqrt(1.0 - 1.0 / (ks * ks + ell * ell))
-    n = 2 * trunc + 1
-    mat = np.zeros((n, n), dtype=complex)
+    mult = np.sqrt(_coupling_factor(ks, ell))
     # each coupling pair is computed once and mirrored with an exact sign
-    # flip, so the advective part is skew-Hermitian bit-for-bit
-    coef = 0.5 * a * ell * _amplitude(1.0, nu, t)
-    sup = coef * mult[:-1] * mult[1:]
-    mat[np.arange(0, n - 1), np.arange(1, n)] = sup
-    mat[np.arange(1, n), np.arange(0, n - 1)] = -sup
-    diag = np.arange(n)
-    mat[diag, diag] = -nu * (ks * ks + ell * ell)
+    # flip, so the advective part is antisymmetric bit-for-bit
+    sup = 0.5 * a * ell * _amplitude(1.0, nu, t) * mult * _k_neighbours(mult)[1]
+    sub = -_k_neighbours(sup)[0]
+    mat = _banded(-nu * (ks * ks + ell * ell), {+1: sup, -1: sub})
     if abs(ell) == 1:
         keep = ks != 0
         mat = mat[np.ix_(keep, keep)]
@@ -212,17 +240,23 @@ def symmetrized_bar_slice(ell, trunc, nu, a, t=0.0):
     return OperatorSlice(ell, trunc, nu, a, t, "symmetrized", ks, mat)
 
 
-def _dipole_modes(trunc, symmetrized):
-    excluded = {(0, 0)}
-    if symmetrized:
-        excluded |= {(1, 0), (-1, 0), (0, 1), (0, -1)}
-    modes = [
-        (k, l)
-        for k in range(-trunc, trunc + 1)
-        for l in range(-trunc, trunc + 1)
-        if (k, l) not in excluded
-    ]
-    return np.array(modes, dtype=int)
+def _dipole(trunc, nu, a, t, symmetrized, couplings):
+    """Taylor-Green operator on modes |k|, |l| <= trunc.
+
+    ``couplings(k, l, amp, g)`` maps each neighbour offset (dk, dl) to the
+    weight row (k, l) gives mode (k + dk, l + dl), as arrays over the
+    lattice; the excluded modes are dropped after assembly.
+    """
+    if trunc < 2:
+        raise ValueError("trunc must be at least 2")
+    ks = np.arange(-trunc, trunc + 1)
+    k, l = ks[:, None], ks[None, :]
+    lap = k * k + l * l
+    weights = couplings(k, l, _amplitude(a, nu, t), _coupling_factor(k, l))
+    mat = _banded(-nu * lap, weights)
+    keep = (lap > (1 if symmetrized else 0)).ravel()
+    modes = np.stack(np.broadcast_arrays(k, l), axis=-1).reshape(-1, 2)[keep]
+    return DipoleOperator(trunc, nu, a, t, symmetrized, modes, mat[np.ix_(keep, keep)])
 
 
 def dipole_operator(trunc, nu, a, t=0.0):
@@ -230,70 +264,44 @@ def dipole_operator(trunc, nu, a, t=0.0):
 
     Row (k, l) combines shear-type couplings in k (prefactor -l/2) with
     couplings in l of the same form but with k and l exchanged (prefactor
-    +k/2), each carrying the non-local factor 1 - 1/(mode of origin).
+    +k/2), each carrying the non-local factor g of the mode of origin.
     """
-    if trunc < 2:
-        raise ValueError("trunc must be at least 2")
-    modes = _dipole_modes(trunc, symmetrized=False)
-    index = {(int(k), int(l)): r for r, (k, l) in enumerate(modes)}
-    amp = _amplitude(a, nu, t)
-    dim = len(modes)
-    mat = np.zeros((dim, dim), dtype=complex)
 
-    def g(k, l):
-        return 1.0 - 1.0 / (k * k + l * l)
+    def couplings(k, l, amp, g):
+        gkm, gkp = _k_neighbours(g)
+        glm, glp = _l_neighbours(g)
+        return {
+            (-1, 0): -(l / 2) * amp * gkm,
+            (+1, 0): +(l / 2) * amp * gkp,
+            (0, -1): +(k / 2) * amp * glm,
+            (0, +1): -(k / 2) * amp * glp,
+        }
 
-    for r, (k, l) in enumerate(modes):
-        k = int(k)
-        l = int(l)
-        mat[r, r] = -nu * (k * k + l * l)
-        for src, coef in (
-            ((k - 1, l), -(l / 2) * amp),
-            ((k + 1, l), +(l / 2) * amp),
-            ((k, l - 1), +(k / 2) * amp),
-            ((k, l + 1), -(k / 2) * amp),
-        ):
-            c = index.get(src)
-            if c is not None:
-                mat[r, c] = coef * g(*src)
-    return DipoleOperator(trunc, nu, a, t, False, modes, mat)
+    return _dipole(trunc, nu, a, t, False, couplings)
 
 
 def symmetrized_dipole_operator(trunc, nu, a, t=0.0):
-    """Taylor-Green linearization conjugated by sqrt(1 - 1/(k^2 + l^2)).
+    """Taylor-Green linearization conjugated by sqrt(g(k, l)).
 
     The advective part becomes exactly antisymmetric; the four modes with
     k^2 + l^2 = 1 (vanishing multiplier) are excluded along with the zero
     mode.
     """
-    if trunc < 2:
-        raise ValueError("trunc must be at least 2")
-    modes = _dipole_modes(trunc, symmetrized=True)
-    index = {(int(k), int(l)): r for r, (k, l) in enumerate(modes)}
-    amp = _amplitude(a, nu, t)
-    dim = len(modes)
-    mat = np.zeros((dim, dim), dtype=complex)
 
-    def s(k, l):
-        return math.sqrt(1.0 - 1.0 / (k * k + l * l))
+    def couplings(k, l, amp, g):
+        s = np.sqrt(g)
+        # each undirected coupling is computed once and mirrored with an
+        # exact sign flip, keeping the advective part antisymmetric
+        sk = +(l / 2) * amp * s * _k_neighbours(s)[1]
+        sl = -(k / 2) * amp * s * _l_neighbours(s)[1]
+        return {
+            (+1, 0): sk,
+            (-1, 0): -_k_neighbours(sk)[0],
+            (0, +1): sl,
+            (0, -1): -_l_neighbours(sl)[0],
+        }
 
-    # each undirected coupling is computed once and mirrored with an exact
-    # sign flip, keeping the advective part skew-Hermitian bit-for-bit
-    for r, (k, l) in enumerate(modes):
-        k = int(k)
-        l = int(l)
-        mat[r, r] = -nu * (k * k + l * l)
-        sr = s(k, l)
-        for nbr, coef in (
-            ((k + 1, l), +(l / 2) * amp),
-            ((k, l + 1), -(k / 2) * amp),
-        ):
-            c = index.get(nbr)
-            if c is not None:
-                v = coef * sr * s(*nbr)
-                mat[r, c] = v
-                mat[c, r] = -v
-    return DipoleOperator(trunc, nu, a, t, True, modes, mat)
+    return _dipole(trunc, nu, a, t, True, couplings)
 
 
 def anomalous_generator(nu, a, t, jmax, sign=+1):
@@ -342,32 +350,6 @@ def anomalous_generator(nu, a, t, jmax, sign=+1):
     return mat
 
 
-def bar_coupling_factors(nx, ny, variant):
-    """Non-local coupling factors of the two-dimensional shear generator.
-
-    Returns ``(fm, fp)`` where fm[k, l] multiplies the coupling from mode
-    (k-1, l) and fp[k, l] the one from (k+1, l); both are 1 for the
-    approximate variant.  The entries that would reference the excluded
-    zero mode are set to 0 (they only arise on the l = 0 row, where the
-    advection prefactor vanishes anyway).
-    """
-    ks = np.arange(-nx, nx + 1)[:, None].astype(float)
-    ls = np.arange(-ny, ny + 1)[None, :].astype(float)
-    if variant == "approximate":
-        fm = np.ones((2 * nx + 1, 2 * ny + 1))
-        fp = np.ones((2 * nx + 1, 2 * ny + 1))
-    elif variant == "full":
-        dm = (ks - 1) ** 2 + ls * ls
-        dp = (ks + 1) ** 2 + ls * ls
-        dm[dm == 0] = np.inf
-        dp[dp == 0] = np.inf
-        fm = 1.0 - 1.0 / dm
-        fp = 1.0 - 1.0 / dp
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return fm, fp
-
-
 def apply_bar_generator(w, nu, a, t=0.0, variant="full"):
     """Apply the full two-dimensional shear linearization to a field.
 
@@ -375,12 +357,9 @@ def apply_bar_generator(w, nu, a, t=0.0, variant="full"):
     """
     ks, ls = w.wavenumbers()
     amp = _amplitude(a, nu, t)
-    fm, fp = bar_coupling_factors(w.nx, w.ny, variant)
+    fm, fp = _k_neighbours(_coupling_factor(ks, ls, variant))
     c = w.coeffs
-    sm = np.zeros_like(c)
-    sm[1:, :] = c[:-1, :]
-    sp = np.zeros_like(c)
-    sp[:-1, :] = c[1:, :]
+    sm, sp = _k_neighbours(c)
     out = -nu * (ks * ks + ls * ls) * c - (ls / 2.0) * amp * (fm * sm - fp * sp)
     return _wrap(w.nx, w.ny, out, False)
 
@@ -389,19 +368,14 @@ def apply_bar_adjoint(w, nu, a, t=0.0):
     """Apply the adjoint of the full shear linearization to a field.
 
     In coefficient form the adjoint moves the non-local factor to the
-    target mode: row (k, l) gains +(l/2) amp (1 - 1/(k^2+l^2))
+    target mode: row (k, l) gains +(l/2) amp g(k, l)
     [what(k-1, l) - what(k+1, l)].
     """
     ks, ls = w.wavenumbers()
     amp = _amplitude(a, nu, t)
-    d = (ks * ks + ls * ls).astype(float)
-    d[w.nx, w.ny] = np.inf
-    fk = 1.0 - 1.0 / d
+    fk = _coupling_factor(ks, ls)
     c = w.coeffs
-    sm = np.zeros_like(c)
-    sm[1:, :] = c[:-1, :]
-    sp = np.zeros_like(c)
-    sp[:-1, :] = c[1:, :]
+    sm, sp = _k_neighbours(c)
     out = -nu * (ks * ks + ls * ls) * c + (ls / 2.0) * amp * fk * (sm - sp)
     return _wrap(w.nx, w.ny, out, False)
 
@@ -467,17 +441,4 @@ def build_from_params(params):
                 params["trunc"], params["nu"], params["a"], params["t"]
             )
         return dipole_operator(params["trunc"], params["nu"], params["a"], params["t"])
-    if kind == "anomalous":
-        class _Plain:
-            def __init__(self, matrix, params):
-                self.matrix = matrix
-                self._params = params
-
-            def params(self):
-                return self._params
-
-        mat = anomalous_generator(
-            params["nu"], params["a"], params["t"], params["jmax"], params["sign"]
-        )
-        return _Plain(mat.astype(complex), params)
     raise ValueError(f"unknown operator kind {kind!r}")

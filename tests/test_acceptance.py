@@ -34,16 +34,6 @@ def criterion(number, name):
     return deco
 
 
-def seeded_row_field(nx, ny, ell, seed, decay=0.05):
-    rng = np.random.default_rng(seed)
-    c = np.zeros((2 * nx + 1, 2 * ny + 1), dtype=complex)
-    ks = np.arange(-nx, nx + 1)
-    c[:, ell + ny] = (
-        rng.standard_normal(2 * nx + 1) + 1j * rng.standard_normal(2 * nx + 1)
-    ) * np.exp(-decay * ks * ks)
-    return bf.SpectralField(nx, ny, c, copy=False)
-
-
 @criterion(1, "single-eigenvalue sqrt(nu) scaling")
 def test_scaling_law_slope():
     started = time.time()
@@ -101,7 +91,7 @@ def test_subspace_invariance():
 def test_enhanced_decay():
     fitted = {}
     for nu in (1e-3, 1e-4):
-        w0 = seeded_row_field(48, 3, 2, seed=7)
+        w0 = bf.seeded_row_field(48, 3, 2, seed=7)
         fit = bf.decay_check(w0, nu, 1.0, t_final=1.0 / nu, dt=0.2)
         base = bf.diffusion_rate(w0, nu)
         assert fit.rate >= 5 * base, (
@@ -118,7 +108,7 @@ def test_functional_dissipation():
     m0 = bf.auto_m0(1.0, 2, nu)
     constants = bf.hypo_constants(m0, 1.0, 2, nu)
     for seed in range(10):
-        w0 = seeded_row_field(48, 3, 2, seed=seed)
+        w0 = bf.seeded_row_field(48, 3, 2, seed=seed)
         cfg = bf.IntegratorConfig(dt=0.05, t_final=60.0, sample_every=1)
         traj = bf.evolve_linear(w0, nu, 1.0, "approximate", cfg)
         report = bf.functional_dissipation(traj, constants)

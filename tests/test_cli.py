@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import barflow as bf
-from barflow.checks import GOLDEN_DIR
+from barflow.checks import ALL_CHECKS, GOLDEN_DIR
 from barflow.cli import main
 
 
@@ -179,7 +179,8 @@ class TestHypoCommand:
 
 class TestCheckCommand:
     def test_golden_subset_passes(self, tmp_path, capsys):
-        # the full suite is exercised elsewhere; here: golden comparison path
+        # the golden comparison alone; the full registry runs in
+        # test_corrupted_golden_detected
         from barflow import checks
 
         assert checks.run_all.__name__ == "run_all"
@@ -198,6 +199,10 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "FAIL golden/matrices" in out
         assert "entry" in out
+        others = [name for name, _ in ALL_CHECKS if name != "golden/matrices"]
+        assert len(others) == 26
+        for name in others:
+            assert f"PASS {name}\n" in out
 
 
 class TestConfigPrecedence:

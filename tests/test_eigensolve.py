@@ -107,7 +107,7 @@ class TestParitySectors:
 
     def test_complex_slice_falls_back(self):
         op = bf.bar_slice(2, 20, 1e-3, 1.0)
-        bad = op.matrix.copy()
+        bad = op.matrix.astype(complex)
         bad[5, 5] += 0.01j
         broken = bf.OperatorSlice(2, 20, 1e-3, 1.0, 0.0, "full", op.wavenumbers, bad)
         got = bf.compute_spectrum(broken).eigenvalues

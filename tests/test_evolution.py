@@ -5,7 +5,7 @@ import pytest
 
 import barflow as bf
 from barflow.fields import conjugate_asymmetry
-from barflow.operators import anomalous_generator, bar_coupling_factors
+from barflow.operators import anomalous_generator
 
 
 def integrate_anomalous_ode(u0, nu, a, jmax, sign, dt, t_final):
@@ -157,7 +157,10 @@ def unflushed_if_rk4(c0, nu, a, dt, n_steps):
     ls = np.arange(-ny, ny + 1)[None, :]
     e_half = np.exp(-nu * (ks * ks + ls * ls).astype(float) * (dt / 2))
     e_full = e_half * e_half
-    fm, fp = bar_coupling_factors(nx, ny, "full")
+    # g(k -+ 1, l) = 1 - 1/((k -+ 1)^2 + l^2), and 1 at the excluded zero mode
+    with np.errstate(divide="ignore"):
+        fm = np.where((ks - 1) ** 2 + ls * ls > 0, 1.0 - 1.0 / ((ks - 1) ** 2 + ls * ls), 1.0)
+        fp = np.where((ks + 1) ** 2 + ls * ls > 0, 1.0 - 1.0 / ((ks + 1) ** 2 + ls * ls), 1.0)
 
     def adv(u, t):
         out = np.zeros_like(u)

@@ -58,12 +58,69 @@ class TestBarSlice:
                 -(2 / 2) * amp / ((k + 1) ** 2 + 4), rel=1e-15
             )
 
-    def test_approximate_is_diffusion_plus_advection(self):
-        op = bf.bar_slice(2, 6, 0.01, 1.5, t=0.3, variant="approximate")
+    # the ell = 3 cases differed by rounding while the advection matrix had
+    # its own formula
+    @pytest.mark.parametrize(
+        "ell, nu, a, t",
+        [
+            (2, 0.01, 1.5, 0.3),
+            (1, 0.013, 1.3, 0.7),
+            (2, 0.013, 1.3, 0.7),
+            (3, 0.01, 1.3, 0.3),
+            (3, 0.013, 1.1, 0.7),
+            (3, 0.001, 2.9, 0.3),
+            (3, 0.001, 0.7, 0.7),
+        ],
+    )
+    def test_approximate_is_diffusion_plus_advection(self, ell, nu, a, t):
+        op = bf.bar_slice(ell, 6, nu, a, t=t, variant="approximate")
         ks = np.arange(-6, 7)
-        delta = np.diag((-0.01 * (ks**2 + 4)).astype(complex))
-        b = bf.advection_matrix(2, 6, 1.5, t=0.3, nu=0.01)
+        delta = np.diag(-nu * (ks**2 + ell * ell))
+        b = bf.advection_matrix(ell, 6, a, t=t, nu=nu)
         assert np.abs(op.matrix - (delta + b)).max() == 0.0
+
+
+class TestRealStorage:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: bf.bar_slice(2, 5, 0.01, 1.3, 0.7, "full").matrix,
+            lambda: bf.bar_slice(2, 5, 0.01, 1.3, 0.7, "approximate").matrix,
+            lambda: bf.bar_slice(2, 5, 0, 1.3).matrix,
+            lambda: bf.symmetrized_bar_slice(1, 5, 0.01, 1.3, 0.7).matrix,
+            lambda: bf.symmetrized_bar_slice(2, 5, 0.01, 1.3, 0.7).matrix,
+            lambda: bf.adjoint_slice(bf.bar_slice(2, 5, 0.01, 1.3, 0.7)).matrix,
+            lambda: bf.advection_matrix(2, 5, 1.3, 0.7, 0.01),
+            lambda: bf.dipole_operator(3, 0.01, 1.3, 0.7).matrix,
+            lambda: bf.symmetrized_dipole_operator(3, 0.01, 1.3, 0.7).matrix,
+        ],
+    )
+    def test_real_builders_store_float64(self, build):
+        assert build().dtype == np.float64
+
+    def test_commutator_purely_imaginary(self):
+        c = bf.commutator_matrix(2, 5, 1.3, 0.7, 0.01)
+        assert c.dtype == np.complex128
+        assert not np.any(c.real)
+
+
+class TestCouplingFactor:
+    def test_one_at_excluded_zero_mode(self):
+        assert operators._coupling_factor(0, 0) == 1.0
+        ks = np.arange(-3, 4)
+        g = operators._coupling_factor(ks[:, None], ks[None, :])
+        assert g[3, 3] == 1.0
+        assert g[4, 3] == 0.0  # (k, l) = (1, 0)
+        assert g[3, 5] == 1.0 - 1.0 / 4
+
+    def test_approximate_is_one(self):
+        ks = np.arange(-3, 4)
+        g = operators._coupling_factor(ks[:, None], ks[None, :], "approximate")
+        assert g.shape == (7, 7) and np.all(g == 1.0)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError):
+            operators._coupling_factor(1, 2, "symmetrized")
 
 
 class TestAdvectionAndCommutator:
