@@ -8,8 +8,7 @@ Identical flags and seeds reproduce byte-identical CSVs.
 
 Flag values override a ``key=value`` config file (``--config``), which
 overrides the built-in defaults (ell=2, trunc=100, amp=1).  Exit codes:
-0 success, 1 check failure, 2 usage error.  ``BARFLOW_THREADS`` bounds the
-worker pool for viscosity sweeps.
+0 success, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ def _environment():
         "cpu_count": os.cpu_count(),
         "threads": {
             var: os.environ.get(var)
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", eigensolve.THREADS_ENV)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
         },
     }
 
@@ -269,20 +268,18 @@ def cmd_hypo(args):
     if nu is None:
         raise SystemExit2("--nu is required")
     trunc = _resolve(args, config, "trunc", int, default=48)
-    if args.m0 == "auto":
-        m0 = hypocoercivity.auto_m0(amp, ell, nu)
-        beta0 = m0 / (512 * amp * amp * abs(ell))
-        lam_min = hypocoercivity.oscillator_min_eig(
-            0.125, (beta0 / (2 * nu)) * (amp * ell) ** 2, 128
-        )
-    else:
-        m0 = float(args.m0)
-        beta0 = m0 / (512 * amp * amp * abs(ell))
-        lam_min = math.nan
+    auto = args.m0 == "auto"
+    m0 = hypocoercivity.auto_m0(amp, ell, nu) if auto else float(args.m0)
     try:
         constants = hypocoercivity.hypo_constants(m0, amp, ell, nu)
     except ValueError as exc:
         raise SystemExit2(f"invalid constants: {exc}") from exc
+    if auto:
+        lam_min = hypocoercivity.oscillator_min_eig(
+            0.125, (constants.beta0 / (2 * nu)) * (amp * ell) ** 2, 128
+        )
+    else:
+        lam_min = math.nan
 
     const_path = f"{args.out_prefix}_constants.csv"
     _write_csv(

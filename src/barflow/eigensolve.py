@@ -16,15 +16,11 @@ deterministic.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import operators
-
-THREADS_ENV = "BARFLOW_THREADS"
 
 
 @dataclass(frozen=True)
@@ -145,36 +141,22 @@ def least_decaying(spectrum):
     return complex(spectrum.eigenvalues[0])
 
 
-def _thread_count(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    return max(1, int(os.environ.get(THREADS_ENV, "1")))
-
-
-def nu_sweep(ell, trunc, nus, amplitude=1.0, variant="full", threads=None):
-    """One spectrum per viscosity, with the advective amplitude held fixed.
+def nu_sweep(ell, trunc, nus, amplitude=1.0, variant="full"):
+    """One spectrum per viscosity, in the input nu order, with the advective
+    amplitude held fixed.
 
     The slice is built at t = 0 with a = amplitude, so the shear amplitude
-    a e^{-nu t} equals ``amplitude`` independently of nu.  Results are
-    returned in the input nu order regardless of how the solves are
-    scheduled (``BARFLOW_THREADS`` controls the pool size).
+    a e^{-nu t} equals ``amplitude`` independently of nu.
     """
     nus = [float(v) for v in nus]
     if any(v <= 0 for v in nus):
         raise ValueError("viscosities must be positive")
     if len(set(nus)) != len(nus):
         raise ValueError("viscosities must be distinct")
-
-    def solve(nu):
-        return compute_spectrum(bar_slice_for(ell, trunc, nu, amplitude, variant))
-
-    nworkers = _thread_count(threads)
-    if nworkers == 1 or len(nus) == 1:
-        spectra = [solve(nu) for nu in nus]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            spectra = list(pool.map(solve, nus))
-    return list(zip(nus, spectra))
+    return [
+        (nu, compute_spectrum(bar_slice_for(ell, trunc, nu, amplitude, variant)))
+        for nu in nus
+    ]
 
 
 def bar_slice_for(ell, trunc, nu, amplitude, variant):
@@ -206,10 +188,10 @@ def fit_scaling(sweep):
     return ScalingFit(tuple(points), float(slope), float(intercept), float(resid))
 
 
-def collapse_table(ell, trunc, nus, count, amplitude=1.0, variant="full", threads=None):
+def collapse_table(ell, trunc, nus, count, amplitude=1.0, variant="full"):
     """Rows (rank, nu, Re lambda_rank / sqrt(nu)) for the first ``count``
     eigenvalues of each sweep member; rank is 1-based."""
-    sweep = nu_sweep(ell, trunc, nus, amplitude, variant, threads)
+    sweep = nu_sweep(ell, trunc, nus, amplitude, variant)
     dim = len(sweep[0][1])
     if count > dim:
         raise ValueError(f"count={count} exceeds matrix dimension {dim}")

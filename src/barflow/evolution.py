@@ -81,9 +81,6 @@ class Trajectory:
     field_times: np.ndarray
     fields: list
 
-    def diagnostic(self, name):
-        return self.diagnostics[name]
-
 
 @dataclass(frozen=True)
 class DecayFit:

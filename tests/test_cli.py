@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import barflow as bf
+from barflow import checks
 from barflow.checks import ALL_CHECKS, GOLDEN_DIR
 from barflow.cli import main
 
@@ -140,8 +144,7 @@ class TestEvolveCommand:
         assert manifest["params"]["seed"] == 7
         env = manifest["environment"]
         assert env["numpy"] == np.__version__
-        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                       "BARFLOW_THREADS"}
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
     def test_determinism_with_seed(self, tmp_path):
         pa = str(tmp_path / "a")
@@ -177,24 +180,25 @@ class TestHypoCommand:
         assert exc.value.code == 2
 
 
-class TestCheckCommand:
-    def test_golden_subset_passes(self, tmp_path, capsys):
-        # the golden comparison alone; the full registry runs in
-        # test_corrupted_golden_detected
-        from barflow import checks
+@pytest.fixture
+def corrupted_golden(tmp_path):
+    """A copy of the golden directory with one stored entry moved by 1."""
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN_DIR, golden)
+    victim = sorted(golden.glob("*.csv"))[0]
+    lines = victim.read_text().splitlines()
+    row, col, re, im = lines[1].split(",")
+    lines[1] = f"{row},{col},{float(re) + 1.0},{im}"
+    victim.write_text("\n".join(lines) + "\n")
+    return golden
 
-        assert checks.run_all.__name__ == "run_all"
+
+class TestCheckCommand:
+    def test_golden_subset_passes(self):
         checks.check_golden_matrices(GOLDEN_DIR)
 
-    def test_corrupted_golden_detected(self, tmp_path, capsys):
-        golden = tmp_path / "golden"
-        shutil.copytree(GOLDEN_DIR, golden)
-        victim = sorted(golden.glob("*.csv"))[0]
-        lines = victim.read_text().splitlines()
-        row, col, re, im = lines[1].split(",")
-        lines[1] = f"{row},{col},{float(re) + 1.0},{im}"
-        victim.write_text("\n".join(lines) + "\n")
-        rc = main(["check", "--golden-dir", str(golden)])
+    def test_corrupted_golden_detected(self, corrupted_golden, capsys):
+        rc = main(["check", "--golden-dir", str(corrupted_golden)])
         assert rc == 1
         out = capsys.readouterr().out
         assert "FAIL golden/matrices" in out
@@ -203,6 +207,30 @@ class TestCheckCommand:
         assert len(others) == 26
         for name in others:
             assert f"PASS {name}\n" in out
+
+    def test_golden_mismatch_fails_under_optimize(self, corrupted_golden):
+        # python -O strips assert statements; the checks must fail regardless
+        src = os.path.dirname(os.path.dirname(bf.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = f"from barflow import checks; checks.check_golden_matrices({str(corrupted_golden)!r})"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "golden mismatch" in proc.stderr
+
+    def test_unexpected_error_reported(self, monkeypatch):
+        def broken():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(checks, "ALL_CHECKS", [("demo/broken", broken)])
+        lines = []
+        assert checks.run_all(report=lines.append) == 1
+        assert lines == ["ERROR demo/broken: RuntimeError('boom')"]
 
 
 class TestConfigPrecedence:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import barflow as bf
-from barflow import eigensolve
+from barflow import checks, eigensolve
+
+# A test whose body is one ``checks.check_*`` call runs that registry
+# invariant; its cases and bounds are stated in barflow/checks.py only.
 
 
 class TestComputeSpectrum:
@@ -30,12 +33,6 @@ class TestComputeSpectrum:
         roots = sorted(roots, key=lambda z: (z.real, z.imag))
         assert np.allclose(got, roots, atol=1e-12)
 
-    def test_symmetrized_stable(self):
-        for ell, nu in ((1, 1e-2), (2, 1e-3), (2, 1e-4)):
-            op = bf.symmetrized_bar_slice(ell, 30, nu, 1.0)
-            spec = bf.compute_spectrum(op)
-            assert spec.eigenvalues[0].real <= 1e-10
-
     def test_nonfinite_rejected(self):
         op = bf.bar_slice(2, 3, 0.01, 1.0)
         bad = op.matrix.copy()
@@ -48,6 +45,9 @@ class TestComputeSpectrum:
         spec = bf.compute_spectrum(bf.bar_slice(2, 20, 1e-3, 1.0))
         re = spec.eigenvalues.real
         assert np.all(np.diff(re) <= 1e-9 * max(1.0, np.abs(re).max()))
+
+    def test_symmetrized_stable(self):
+        checks.check_symmetrized_stability()
 
 
 def _slices(trunc):
@@ -141,13 +141,12 @@ class TestLeastDecaying:
         spec = bf.compute_spectrum(bf.bar_slice(2, 3, nu=0.01, a=0.0))
         assert bf.least_decaying(spec) == pytest.approx(-0.04, abs=1e-15)
 
-    def test_symmetrized_nonpositive(self):
-        spec = bf.compute_spectrum(bf.symmetrized_bar_slice(2, 25, 1e-3, 1.0))
-        assert bf.least_decaying(spec).real <= 0.0
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bf.least_decaying(bf.Spectrum(np.array([]), {}))
+
+    def test_symmetrized_nonpositive(self):
+        checks.check_symmetrized_stability()
 
 
 class TestNuSweep:
@@ -174,13 +173,6 @@ class TestNuSweep:
             bf.nu_sweep(2, 10, [1e-3, 1e-3])
         with pytest.raises(ValueError):
             bf.nu_sweep(2, 10, [-1e-3])
-
-    def test_threaded_matches_serial(self):
-        nus = [0.002, 0.001, 0.0005]
-        serial = bf.nu_sweep(2, 15, nus, threads=1)
-        threaded = bf.nu_sweep(2, 15, nus, threads=3)
-        for (_, a), (_, b) in zip(serial, threaded):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
 class TestFitScaling:
@@ -229,25 +221,13 @@ class TestCollapseTable:
 
 class TestSpectralInvariants:
     def test_eigen_residual(self):
-        res = bf.eigen_residual(bf.bar_slice(2, 25, 1e-3, 1.0))
-        assert res <= 1e-8
+        checks.check_eigen_residual()
 
     def test_adjoint_conjugate_spectrum(self):
-        op = bf.bar_slice(2, 18, 1e-3, 1.0)
-        s = bf.compute_spectrum(op).eigenvalues
-        sa = np.conj(bf.compute_spectrum(bf.adjoint_slice(op)).eigenvalues)
-        dist = np.abs(s[:, None] - sa[None, :])
-        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) < 1e-9
+        checks.check_adjoint_spectrum()
 
     def test_trace_identity(self):
-        op = bf.bar_slice(2, 30, 1e-3, 1.0)
-        s = bf.compute_spectrum(op).eigenvalues
-        ks = np.arange(-30, 31)
-        want = -1e-3 * float((ks * ks + 4).sum())
-        assert abs(s.sum().real - want) / abs(want) < 1e-8
-        assert abs(s.sum().imag) < 1e-8 * abs(want)
+        checks.check_trace()
 
     def test_truncation_stability(self):
-        a = bf.compute_spectrum(bf.bar_slice(2, 40, 1e-3, 1.0)).eigenvalues[:10]
-        b = bf.compute_spectrum(bf.bar_slice(2, 80, 1e-3, 1.0)).eigenvalues[:10]
-        assert (np.abs(a - b) / np.abs(b)).max() < 0.01
+        checks.check_truncation_stability()

@@ -4,36 +4,11 @@ import numpy as np
 import pytest
 
 import barflow as bf
+from barflow import checks
 from barflow.fields import conjugate_asymmetry
-from barflow.operators import anomalous_generator
 
-
-def integrate_anomalous_ode(u0, nu, a, jmax, sign, dt, t_final):
-    """Independent RK4 oracle for the closed tridiagonal system."""
-    u = np.asarray(u0, dtype=complex).copy()
-    for n in range(int(round(t_final / dt))):
-        t = n * dt
-        a1 = anomalous_generator(nu, a, t, jmax, sign)
-        a2 = anomalous_generator(nu, a, t + dt / 2, jmax, sign)
-        a4 = anomalous_generator(nu, a, t + dt, jmax, sign)
-        k1 = a1 @ u
-        k2 = a2 @ (u + dt / 2 * k1)
-        k3 = a2 @ (u + dt / 2 * k2)
-        k4 = a4 @ (u + dt * k3)
-        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return u
-
-
-def coords_vector(field, jmax, sign="plus"):
-    c = bf.anomalous_coordinates(field, jmax)
-    u = np.empty(2 * (jmax + 1), dtype=complex)
-    if sign == "plus":
-        u[0::2] = c.even_sums_plus
-        u[1::2] = c.odd_diffs_plus
-    else:
-        u[0::2] = c.even_sums_minus
-        u[1::2] = c.odd_diffs_minus
-    return u
+# A test whose body is one ``checks.check_*`` call runs that registry
+# invariant; its cases and bounds are stated in barflow/checks.py only.
 
 
 class TestIntegratorConfig:
@@ -66,78 +41,6 @@ class TestEvolveLinear:
         traj = bf.evolve_linear(bf.zero_field(4, 4), 0.01, 1.0, "full", cfg)
         assert traj.diagnostics["l2"].max() == 0.0
 
-    @pytest.mark.parametrize("sign,label", [(+1, "plus"), (-1, "minus")])
-    def test_first_rows_match_closed_ode(self, sign, label):
-        # field on the rows l = +-1: the paired coordinates follow the
-        # tridiagonal system integrated independently
-        jmax = 3
-        n = 2 * jmax + 1
-        rng = np.random.default_rng(3)
-        c = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-        c[:, sign + n] = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(
-            2 * n + 1
-        )
-        w0 = bf.SpectralField(n, n, c, copy=False)
-        nu, a, dt, t_final = 0.01, 1.0, 0.01, 5.0
-        cfg = bf.IntegratorConfig(dt=dt, t_final=t_final, sample_every=int(t_final / dt))
-        traj = bf.evolve_linear(w0, nu, a, "full", cfg)
-        got = coords_vector(traj.fields[-1], jmax, label)
-        want = integrate_anomalous_ode(
-            coords_vector(w0, jmax, label), nu, a, jmax, sign, dt, t_final
-        )
-        assert np.abs(got - want).max() / np.abs(want).max() <= 1e-6
-
-    def test_central_mode_follows_ode(self):
-        # nonzero even-sum content: what(0, 1)(t) equals half the leading
-        # coordinate of the closed system
-        jmax, nu, a = 2, 0.05, 1.0
-        n = 2 * jmax + 1
-        w0 = bf.mode_field(n, n, {(0, 1): 0.5, (1, 1): 0.3, (2, 1): 0.2 + 0.1j})
-        dt, t_final = 0.01, 2.0
-        cfg = bf.IntegratorConfig(dt=dt, t_final=t_final, sample_every=int(t_final / dt))
-        traj = bf.evolve_linear(w0, nu, a, "full", cfg)
-        want = integrate_anomalous_ode(
-            coords_vector(w0, jmax), nu, a, jmax, +1, dt, t_final
-        )[0] / 2
-        got = traj.fields[-1].get(0, 1)
-        assert abs(got - want) / abs(want) < 1e-6
-
-    def test_invariant_subspace_preserved(self):
-        w0 = bf.remove_anomalous(bf.random_field(16, 16, 7))
-        cfg = bf.IntegratorConfig(dt=0.05, t_final=50.0, sample_every=200)
-        traj = bf.evolve_linear(w0, 1e-2, 1.0, "full", cfg)
-        worst = (traj.diagnostics["max_pq"] / traj.diagnostics["l2"]).max()
-        assert worst <= 1e-8
-
-    def test_shear_row_purely_diffusive(self):
-        w0 = bf.mode_field(6, 6, {(2, 0): 1.0, (3, 0): 0.5})
-        cfg = bf.IntegratorConfig(dt=0.05, t_final=10.0, sample_every=200)
-        traj = bf.evolve_linear(w0, 0.01, 1.0, "full", cfg)
-        wt = traj.fields[-1]
-        for m, a0 in ((2, 1.0), (3, 0.5)):
-            want = a0 * math.exp(-0.01 * m * m * 10.0)
-            assert abs(wt.get(m, 0) - want) < 1e-10 * a0
-
-    def test_fourth_order_convergence(self):
-        w0 = bf.remove_anomalous(bf.random_field(8, 8, 5))
-
-        def final(dt):
-            cfg = bf.IntegratorConfig(
-                dt=dt, t_final=1.0, sample_every=int(round(1.0 / dt))
-            )
-            return bf.evolve_linear(w0, 0.05, 1.0, "full", cfg).fields[-1].coeffs
-
-        ref = final(0.003125)
-        e1 = np.abs(final(0.05) - ref).max()
-        e2 = np.abs(final(0.025) - ref).max()
-        assert 10.0 < e1 / e2 < 25.0
-
-    def test_reality_preserved(self):
-        w0 = bf.random_field(8, 8, 9, real_valued=True)
-        cfg = bf.IntegratorConfig(dt=0.02, t_final=2.0, sample_every=10)
-        traj = bf.evolve_linear(w0, 0.05, 1.0, "full", cfg)
-        assert max(conjugate_asymmetry(f) for f in traj.fields) < 1e-12
-
     def test_diagnostics_rederivable_from_snapshots(self):
         w0 = bf.random_field(6, 6, 1)
         cfg = bf.IntegratorConfig(dt=0.1, t_final=1.0, sample_every=5)
@@ -147,6 +50,21 @@ class TestEvolveLinear:
             assert traj.diagnostics["enstrophy"][i] == pytest.approx(
                 bf.enstrophy(f), rel=1e-14
             )
+
+    def test_central_mode_follows_ode(self):
+        checks.check_anomalous_dynamics_match()
+
+    def test_invariant_subspace_preserved(self):
+        checks.check_subspace_invariance()
+
+    def test_shear_row_purely_diffusive(self):
+        checks.check_shear_row_diagonal_decay()
+
+    def test_fourth_order_convergence(self):
+        checks.check_fourth_order()
+
+    def test_reality_preserved(self):
+        checks.check_reality_preservation()
 
 
 def unflushed_if_rk4(c0, nu, a, dt, n_steps):
@@ -255,13 +173,6 @@ class TestEvolveNonlinear:
         traj = bf.evolve_nonlinear(w0, 0.01, cfg)
         assert all(f.get(0, 0) == 0.0 for f in traj.fields)
 
-    def test_inviscid_enstrophy_conserved(self):
-        w0 = bf.random_field(8, 8, 2, decay=0.15)
-        cfg = bf.IntegratorConfig(dt=1e-3, t_final=1.0, sample_every=500, grid=64)
-        traj = bf.evolve_nonlinear(w0, 0.0, cfg)
-        z = traj.diagnostics["enstrophy"]
-        assert abs(z[-1] - z[0]) / z[0] <= 1e-6
-
     def test_reality_preserved(self):
         w0 = bf.random_field(6, 6, 3)
         cfg = bf.IntegratorConfig(dt=1e-3, t_final=0.1, sample_every=25, grid=32)
@@ -285,6 +196,9 @@ class TestEvolveNonlinear:
         with pytest.warns(RuntimeWarning):
             with pytest.raises(FloatingPointError, match="step"):
                 bf.evolve_nonlinear(w0, 0.01, cfg)
+
+    def test_inviscid_enstrophy_conserved(self):
+        checks.check_inviscid_conservation()
 
 
 class TestDecayRateFit:

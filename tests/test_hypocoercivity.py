@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import barflow as bf
+from barflow import checks
 from barflow.hypocoercivity import _apply_commutator
+
+# A test whose body is one ``checks.check_*`` call runs that registry
+# invariant; its cases and bounds are stated in barflow/checks.py only.
 
 
 class TestConstants:
@@ -13,16 +17,6 @@ class TestConstants:
         assert c.alpha0 == pytest.approx(0.0220971, abs=1e-7)
         assert c.beta0 == pytest.approx(0.00195313, abs=1e-8)
         assert c.gamma0 == pytest.approx(0.0110485, abs=1e-7)
-
-    def test_balance_identity_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            m0 = float(rng.uniform(0.01, 10.0))
-            a = float(rng.uniform(0.1, 5.0))
-            ell = int(rng.integers(1, 9))
-            c = bf.hypo_constants(m0, a, ell, nu=1e-3)
-            assert abs(c.beta0 - 4 * c.alpha0**2) <= 1e-12 * c.beta0
-            assert c.beta0**2 < c.alpha0 * c.gamma0 / 4
 
     def test_cross_term_margin_hand_arithmetic(self):
         # at m0 = a = ell = 1: 1/512^2 < (1/4096)/4 = 1/16384
@@ -50,6 +44,9 @@ class TestConstants:
         bad = bf.HypoConstants(c.m0, c.a, c.ell, c.nu, c.alpha0, 10 * c.beta0, c.gamma0)
         with pytest.raises(ValueError):
             bad.validate()
+
+    def test_balance_identity_random(self):
+        checks.check_constants_identities()
 
 
 class TestXNorm:
@@ -102,22 +99,14 @@ class TestFunctional:
             row = rng.standard_normal(11) + 1j * rng.standard_normal(11)
             assert bf.functional_sample(row, c, 0.0).phi_value >= 0.0
 
-    def test_sandwich_bounds_random(self):
-        c = bf.hypo_constants(0.25, 1.0, 2, 1e-3)
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            row = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-            s = bf.functional_sample(row, c, 0.0)
-            lo = s.l2_sq + c.alpha / 2 * s.dx_sq + c.gamma / 2 * s.c_sq
-            hi = s.l2_sq + 3 * c.alpha / 2 * s.dx_sq + 3 * c.gamma / 2 * s.c_sq
-            assert lo < s.phi_value < hi
-            assert s.phi_value >= 0.5 * s.l2_sq
-
     def test_commutator_row_matches_matrix(self):
         row = np.arange(1.0, 8.0) + 0.5j
         got = _apply_commutator(row, 2, 1.3, 0.01, 0.7)
         want = bf.commutator_matrix(2, 3, 1.3, 0.7, 0.01) @ row
         assert np.abs(got - want).max() < 1e-15
+
+    def test_sandwich_bounds_random(self):
+        checks.check_functional_sandwich()
 
 
 class TestOscillatorEstimate:
@@ -143,13 +132,6 @@ class TestOscillatorEstimate:
         lam2 = bf.oscillator_min_eig(0.125, 250.0, 128)
         assert lam2 / lam1 == pytest.approx(math.sqrt(2), rel=0.05)
 
-    def test_monotone_in_time(self):
-        vals = [
-            bf.estimate_m0(1 / 1024, 1e-4, 1.0, 2, t=t, n_modes=96)
-            for t in (0.0, 1000.0, 5000.0, 10000.0)
-        ]
-        assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-
     def test_auto_m0_self_consistent(self):
         m0 = bf.auto_m0(1.0, 2, 1e-4)
         beta0 = m0 / (512 * 1.0 * 2)
@@ -162,6 +144,9 @@ class TestOscillatorEstimate:
         with pytest.raises(ValueError):
             bf.estimate_m0(1e-3, 1e-3, 1.0, 2, n_modes=32)
 
+    def test_monotone_in_time(self):
+        checks.check_m0_monotone_in_time()
+
 
 class TestDecayCheck:
     def test_diffusive_baseline_exact(self):
@@ -170,30 +155,15 @@ class TestDecayCheck:
         fit = bf.decay_check(w0, 1e-3, 0.0, t_final=1000.0, dt=0.5)
         assert fit.rate == pytest.approx(2e-3 * 5, rel=1e-9)
 
-    def test_enhanced_over_diffusion(self):
-        nu = 1e-3
-        w0 = bf.seeded_row_field(40, 3, 2, seed=7)
-        fit = bf.decay_check(w0, nu, 1.0, t_final=1000.0, dt=0.25)
-        assert fit.rate >= 5 * bf.diffusion_rate(w0, nu)
-        assert fit.m > 0
-
     def test_anomalous_content_rejected(self):
         with pytest.raises(ValueError):
             bf.decay_check(bf.bar_state(1, 6, 2), 1e-3, 1.0, t_final=10.0, dt=0.1)
 
+    def test_enhanced_over_diffusion(self):
+        checks.check_enhanced_decay()
+
 
 class TestFunctionalDissipation:
-    def test_strictly_negative_along_trajectory(self):
-        nu = 1e-4
-        m0 = bf.auto_m0(1.0, 2, nu)
-        cst = bf.hypo_constants(m0, 1.0, 2, nu)
-        w0 = bf.seeded_row_field(40, 3, 2, seed=3)
-        cfg = bf.IntegratorConfig(dt=0.05, t_final=30.0, sample_every=1)
-        traj = bf.evolve_linear(w0, nu, 1.0, "approximate", cfg)
-        rep = bf.functional_dissipation(traj, cst)
-        assert rep.max_ratio < 0.0
-        assert rep.n_interior == len(traj.times) - 2
-
     def test_diffusive_single_mode_rate(self):
         # a = 0: Phi reduces to (1 + alpha k^2) ||w||^2 and decays at
         # exactly 2 nu (k^2 + ell^2)
@@ -220,6 +190,9 @@ class TestFunctionalDissipation:
         traj = bf.evolve_linear(bf.seeded_row_field(6, 3, 2, 0), 1e-3, 1.0, "approximate", cfg)
         with pytest.raises(ValueError):
             bf.functional_dissipation(traj, cst)
+
+    def test_strictly_negative_along_trajectory(self):
+        checks.check_dissipation_negative()
 
 
 class TestDiagnosticsIntegration:

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import barflow as bf
-from barflow import operators
+from barflow import checks, operators
+
+# A test whose body is one ``checks.check_*`` call runs that registry
+# invariant; its cases and bounds are stated in barflow/checks.py only.
 
 
 def row(op, k):
@@ -44,40 +47,7 @@ class TestBarSlice:
             bf.bar_slice(0, 5, 0.01, 1.0)
 
     def test_decomposition_full_vs_approximate(self):
-        full = bf.bar_slice(2, 6, 0.01, 1.5, t=0.3, variant="full")
-        approx = bf.bar_slice(2, 6, 0.01, 1.5, t=0.3, variant="approximate")
-        corr = full.matrix - approx.matrix
-        amp = 1.5 * math.exp(-0.01 * 0.3)
-        # correction entries carry exactly the 1/((k +- 1)^2 + ell^2) factors
-        for k in range(-5, 6):
-            i = k + 6
-            assert corr[i, i - 1] == pytest.approx(
-                (2 / 2) * amp / ((k - 1) ** 2 + 4), rel=1e-15
-            )
-            assert corr[i, i + 1] == pytest.approx(
-                -(2 / 2) * amp / ((k + 1) ** 2 + 4), rel=1e-15
-            )
-
-    # the ell = 3 cases differed by rounding while the advection matrix had
-    # its own formula
-    @pytest.mark.parametrize(
-        "ell, nu, a, t",
-        [
-            (2, 0.01, 1.5, 0.3),
-            (1, 0.013, 1.3, 0.7),
-            (2, 0.013, 1.3, 0.7),
-            (3, 0.01, 1.3, 0.3),
-            (3, 0.013, 1.1, 0.7),
-            (3, 0.001, 2.9, 0.3),
-            (3, 0.001, 0.7, 0.7),
-        ],
-    )
-    def test_approximate_is_diffusion_plus_advection(self, ell, nu, a, t):
-        op = bf.bar_slice(ell, 6, nu, a, t=t, variant="approximate")
-        ks = np.arange(-6, 7)
-        delta = np.diag(-nu * (ks**2 + ell * ell))
-        b = bf.advection_matrix(ell, 6, a, t=t, nu=nu)
-        assert np.abs(op.matrix - (delta + b)).max() == 0.0
+        checks.check_slice_decomposition()
 
 
 class TestRealStorage:
@@ -140,17 +110,10 @@ class TestAdvectionAndCommutator:
         assert np.linalg.norm(c, 2) <= 1.0
 
     def test_commutator_identity_interior(self):
-        n = 7
-        d = np.diag(1j * np.arange(-n, n + 1).astype(complex))
-        b = bf.advection_matrix(3, n, 1.0)
-        c = bf.commutator_matrix(3, n, 1.0)
-        assert np.abs(((d @ b - b @ d) - c)[1:-1, :]).max() == 0.0
+        checks.check_commutator_identity()
 
     def test_advection_commutator_commute_interior(self):
-        n = 8
-        b = bf.advection_matrix(2, n, 1.0)
-        c = bf.commutator_matrix(2, n, 1.0)
-        assert np.abs((b @ c - c @ b)[2:-2, :]).max() == 0.0
+        checks.check_advection_commutes_with_commutator()
 
 
 class TestAdjoint:
@@ -166,11 +129,7 @@ class TestAdjoint:
         assert np.abs(back.matrix - op.matrix).max() == 0.0
 
     def test_shear_modes_are_adjoint_null_directions(self):
-        # e^{imx} is stationary for the adjoint shifted by nu m^2
-        for m in (1, 2, 3):
-            w = bf.mode_field(6, 6, {(m, 0): 1.0})
-            lw = bf.apply_bar_adjoint(w, 0.01, 1.0)
-            assert np.abs(lw.coeffs - (-0.01 * m * m) * w.coeffs).max() == 0.0
+        checks.check_anomalous_mode_exactness()
 
 
 class TestSymmetrizedSlice:
@@ -253,39 +212,12 @@ class TestAnomalousGenerator:
         mask = np.abs(np.subtract.outer(np.arange(10), np.arange(10))) > 1
         assert np.abs(a[mask]).max() == 0.0
 
-    @pytest.mark.parametrize("sign", [+1, -1])
-    def test_matches_two_dimensional_generator(self, sign):
-        # the closed system is exactly the slice generator read through the
-        # paired coordinates when truncations are matched (N = 2 jmax + 1)
-        jmax, nu, a, t = 3, 0.01, 1.3, 0.7
-        n = 2 * jmax + 1
-        rng = np.random.default_rng(0)
-        vec = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
-
-        def coords(r):
-            out = []
-            for j in range(jmax + 1):
-                out.append(r[2 * j + n] + r[-2 * j + n])
-                out.append(r[(2 * j + 1) + n] - r[-(2 * j + 1) + n])
-            return np.array(out)
-
-        op = bf.bar_slice(sign, n, nu, a, t, "full")
-        lhs = coords(op.matrix @ vec)
-        rhs = bf.anomalous_generator(nu, a, t, jmax, sign) @ coords(vec)
-        assert np.abs(lhs - rhs).max() < 1e-13
-
     def test_jmax_validation(self):
         with pytest.raises(ValueError):
             bf.anomalous_generator(0.01, 1.0, 0.0, 0)
 
 
 class TestTwoDimensionalGenerator:
-    def test_shear_mode_exact(self):
-        for m in (1, 2, 3):
-            w = bf.mode_field(6, 6, {(m, 0): 1.0})
-            lw = bf.apply_bar_generator(w, 0.01, 1.0)
-            assert np.abs(lw.coeffs - (-0.01 * m * m) * w.coeffs).max() == 0.0
-
     def test_matches_slice_on_one_row(self):
         nu, a, t = 0.02, 1.1, 0.4
         w = bf.random_field(6, 4, 8)
@@ -294,6 +226,9 @@ class TestTwoDimensionalGenerator:
             op = bf.bar_slice(ell, 6, nu, a, t, "full")
             want = op.matrix @ w.coeffs[:, ell + 4]
             assert np.abs(lw.coeffs[:, ell + 4] - want).max() < 1e-14
+
+    def test_shear_mode_exact(self):
+        checks.check_anomalous_mode_exactness()
 
 
 class TestMatrixSerialization:
