@@ -257,17 +257,24 @@ def check_shear_row_diagonal_decay():
 
 
 def check_fourth_order():
-    w0 = fields.remove_anomalous(fields.random_field(8, 8, 5))
+    # a mis-wired stage of either integrator lowers its order
+    w_linear = fields.remove_anomalous(fields.random_field(8, 8, 5))
+    w_nonlinear = fields.random_field(6, 6, 5, decay=0.15)
 
-    def run(dt):
+    def linear(dt):
         cfg = evolution.IntegratorConfig(dt=dt, t_final=1.0, sample_every=int(round(1.0 / dt)))
-        return evolution.evolve_linear(w0, 0.05, 1.0, "full", cfg).fields[-1].coeffs
+        return evolution.evolve_linear(w_linear, 0.05, 1.0, "full", cfg).fields[-1].coeffs
 
-    ref = run(0.003125)
-    e1 = np.abs(run(0.05) - ref).max()
-    e2 = np.abs(run(0.025) - ref).max()
-    ratio = e1 / e2
-    _require(10.0 < ratio < 25.0, f"halving dt changed error by {ratio:.2f}x, not ~16x")
+    def nonlinear(dt):
+        cfg = evolution.IntegratorConfig(dt=dt, t_final=0.5, sample_every=512, grid=32)
+        return evolution.evolve_nonlinear(w_nonlinear, 0.01, cfg).fields[-1].coeffs
+
+    for name, run, dt_ref in (("linear", linear, 0.003125), ("nonlinear", nonlinear, 0.5 / 512)):
+        ref = run(dt_ref)
+        e1 = np.abs(run(0.05) - ref).max()
+        e2 = np.abs(run(0.025) - ref).max()
+        ratio = e1 / e2
+        _require(10.0 < ratio < 25.0, f"{name}: halving dt cut the error {ratio:.2f}x, not ~16x")
 
 
 def check_reality_preservation():

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import __version__, checks, eigensolve, evolution, fields, hypocoercivity
+from . import __version__, checks, eigensolve, evolution, fields, hypocoercivity, operators
 
 DEFAULTS = {"ell": 2, "trunc": 100, "amp": 1.0}
 
@@ -121,7 +121,7 @@ def cmd_spectrum(args):
     nu = _resolve(args, config, "nu", float)
     if nu is None:
         raise SystemExit2("--nu is required")
-    op = eigensolve.bar_slice_for(ell, trunc, nu, amp, args.variant)
+    op = operators.bar_slice_for(ell, trunc, nu, amp, variant=args.variant)
     spec = eigensolve.compute_spectrum(op)
     rows = [(i + 1, lam.real, lam.imag) for i, lam in enumerate(spec.eigenvalues)]
     _write_csv(args.out, ("rank", "re", "im"), rows)
@@ -274,12 +274,9 @@ def cmd_hypo(args):
         constants = hypocoercivity.hypo_constants(m0, amp, ell, nu)
     except ValueError as exc:
         raise SystemExit2(f"invalid constants: {exc}") from exc
+    lam_min = math.nan
     if auto:
-        lam_min = hypocoercivity.oscillator_min_eig(
-            0.125, (constants.beta0 / (2 * nu)) * (amp * ell) ** 2, 128
-        )
-    else:
-        lam_min = math.nan
+        lam_min = hypocoercivity._cosine_well_min_eig(constants.beta0, nu, amp, ell)
 
     const_path = f"{args.out_prefix}_constants.csv"
     _write_csv(

@@ -154,17 +154,9 @@ def nu_sweep(ell, trunc, nus, amplitude=1.0, variant="full"):
     if len(set(nus)) != len(nus):
         raise ValueError("viscosities must be distinct")
     return [
-        (nu, compute_spectrum(bar_slice_for(ell, trunc, nu, amplitude, variant)))
+        (nu, compute_spectrum(operators.bar_slice_for(ell, trunc, nu, amplitude, variant=variant)))
         for nu in nus
     ]
-
-
-def bar_slice_for(ell, trunc, nu, amplitude, variant):
-    if variant == "symmetrized":
-        return operators.symmetrized_bar_slice(ell, trunc, nu, amplitude, 0.0)
-    if variant == "adjoint":
-        return operators.adjoint_slice(operators.bar_slice(ell, trunc, nu, amplitude, 0.0))
-    return operators.bar_slice(ell, trunc, nu, amplitude, 0.0, variant)
 
 
 def fit_scaling(sweep):

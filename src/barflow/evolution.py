@@ -1,11 +1,11 @@
 """Time integration for the linearized and nonlinear vorticity equations.
 
-Both integrators use an integrating-factor RK4 step: the diagonal
-diffusion exp(-nu (k^2 + l^2) dt) is applied exactly and the remaining
-(advective or nonlinear) part is treated with classical RK4 on the
-transformed variable.  The linear generator is nonautonomous through the
-decaying shear amplitude a e^{-nu t}, which is evaluated at the RK stage
-times so the scheme keeps its fourth order.
+Both integrators step through one integrating-factor RK4 core,
+:func:`_if_rk4`, and supply only their right-hand side and state layout:
+the diffusion exp(-nu (k^2 + l^2) dt) is applied exactly and the rest
+gets classical RK4 on the transformed variable.  The linear generator is
+nonautonomous through the shear amplitude a e^{-nu t}, evaluated at the
+RK stage times so the scheme keeps its fourth order.
 
 Trajectories record scalar diagnostics at every step and full field
 snapshots every ``sample_every`` steps (snapshots bound the memory; the
@@ -139,8 +139,12 @@ class _Recorder:
             self.fields.append(
                 _wrap(self.nx, self.ny, coeffs.copy(), self.real_valued)
             )
+        self.last = coeffs
 
     def finish(self, params):
+        if self.field_times[-1] != self.times[-1]:  # end on the final state
+            self.field_times.append(self.times[-1])
+            self.fields.append(_wrap(self.nx, self.ny, self.last.copy(), self.real_valued))
         return Trajectory(
             params=params,
             times=np.array(self.times),
@@ -148,6 +152,48 @@ class _Recorder:
             field_times=np.array(self.field_times),
             fields=self.fields,
         )
+
+
+def _if_rk4(state, e_half, dt, n_steps, rhs_into, record):
+    """Advance ``state`` in place by ``n_steps`` IF-RK4 steps of size ``dt``.
+
+    With E = ``e_half`` = exp(-nu |k|^2 dt/2) on the layout of ``state``
+    and R the non-diffusive right-hand side, which ``rhs_into(src, t, out,
+    scratch)`` writes into ``out`` (``scratch`` may be overwritten), a step
+    evaluates in place, in this order, ka = R(w, t), kb = R(E (w + dt/2 ka)),
+    kc = R(E w + dt/2 kb) (both at t + dt/2), kd = R(E^2 w + dt (E kc),
+    t + dt) and w <- E^2 w + dt/6 (E^2 ka + 2 (E (kb + kc)) + kd).
+    ``record(step, state)`` runs at step 0 and after every step.
+    """
+    e_full = e_half * e_half
+    ka, kb, kc, kd, t1, t2, t3 = (np.empty_like(state) for _ in range(7))
+    record(0, state)
+    for n in range(n_steps):
+        t = n * dt
+        rhs_into(state, t, ka, t2)
+        np.multiply(ka, dt / 2, out=t1)
+        t1 += state
+        t1 *= e_half
+        rhs_into(t1, t + dt / 2, kb, t2)
+        np.multiply(state, e_half, out=t1)
+        np.multiply(kb, dt / 2, out=t3)
+        t1 += t3
+        rhs_into(t1, t + dt / 2, kc, t2)
+        np.multiply(kc, e_half, out=t1)
+        t1 *= dt
+        np.multiply(state, e_full, out=t2)
+        t1 += t2
+        rhs_into(t1, t + dt, kd, t2)
+        ka *= e_full
+        kb += kc
+        kb *= e_half
+        kb *= 2.0
+        ka += kb
+        ka += kd
+        ka *= dt / 6
+        state *= e_full
+        state += ka
+        record(n + 1, state)
 
 
 def evolve_linear(w0, nu, a, variant="full", config=None, extra_diagnostics=None):
@@ -174,59 +220,33 @@ def evolve_linear(w0, nu, a, variant="full", config=None, extra_diagnostics=None
     ls = np.arange(-ny, ny + 1)[None, :]
     lap = (ks * ks + ls * ls).astype(float)
     e_half = np.exp(-nu * lap * (dt / 2))
-    e_full = e_half * e_half
     fm, fp = _k_neighbours(_coupling_factor(ks, ls, variant))
     lpref = -(ls / 2.0)
 
     state = w0.coeffs.astype(complex).copy()
     parts = state.view(float)
     flushed = 0
-    ka, kb, kc, kd, t1, t2, t3 = (np.empty_like(state) for _ in range(7))
 
-    def adv_into(src, t, out):
+    def adv_into(src, t, out, scratch):
         # out = lpref * a e^{-nu t} * (fm * src(k-1) - fp * src(k+1))
         np.multiply(fm[1:, :], src[:-1, :], out=out[1:, :])
         out[0, :] = 0.0
-        np.multiply(fp[:-1, :], src[1:, :], out=t2[:-1, :])
-        out[:-1, :] -= t2[:-1, :]
+        np.multiply(fp[:-1, :], src[1:, :], out=scratch[:-1, :])
+        out[:-1, :] -= scratch[:-1, :]
         out *= lpref * (a * math.exp(-nu * t))
 
     rec = _Recorder(nx, ny, w0.real_valued, config.sample_every, extra_diagnostics)
-    rec.record(0, 0.0, state)
-    for n in range(n_steps):
-        t = n * dt
-        adv_into(state, t, ka)
-        np.multiply(ka, dt / 2, out=t1)
-        t1 += state
-        t1 *= e_half
-        adv_into(t1, t + dt / 2, kb)
-        np.multiply(state, e_half, out=t1)
-        np.multiply(kb, dt / 2, out=t3)
-        t1 += t3
-        adv_into(t1, t + dt / 2, kc)
-        np.multiply(kc, e_half, out=t1)
-        t1 *= dt
-        np.multiply(state, e_full, out=t2)  # t2 no longer needed by adv_into here
-        t1 += t2
-        adv_into(t1, t + dt, kd)
-        ka *= e_full
-        kb += kc
-        kb *= e_half
-        kb *= 2.0
-        ka += kb
-        ka += kd
-        ka *= dt / 6
-        state *= e_full
-        state += ka
-        if (n + 1) % FLUSH_EVERY == 0:
+
+    def record(step, w):
+        nonlocal flushed
+        if step and step % FLUSH_EVERY == 0:
             tiny = np.abs(parts) < FLUSH_BELOW
             tiny &= parts != 0.0
             flushed += int(np.count_nonzero(tiny))
             parts[tiny] = 0.0
-        rec.record(n + 1, (n + 1) * dt, state)
-    if rec.field_times[-1] != rec.times[-1]:
-        rec.field_times.append(rec.times[-1])
-        rec.fields.append(_wrap(nx, ny, state.copy(), w0.real_valued))
+        rec.record(step, step * dt, w)
+
+    _if_rk4(state, e_half, dt, n_steps, adv_into, record)
     return rec.finish(
         {
             "kind": "linear",
@@ -255,13 +275,13 @@ def embed_fft(field, m):
     return out
 
 
-def extract_fft(state, trunc, real_valued=True):
+def extract_fft(state, trunc):
     """Read the |k|,|l| <= trunc block of an FFT-layout lattice."""
     m = state.shape[0]
     ks = np.arange(-trunc, trunc + 1)
     coeffs = state[np.ix_(ks % m, ks % m)].copy()
     coeffs[trunc, trunc] = 0.0
-    return _wrap(trunc, trunc, coeffs, real_valued)
+    return _wrap(trunc, trunc, coeffs, True)
 
 
 def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
@@ -303,32 +323,29 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
         mask = np.ones((m, m), dtype=bool)
         trunc_out = m // 2 - 1
     e_half = np.exp(-nu * k2 * (dt / 2))
-    e_full = e_half * e_half
     scale = m * m  # our coefficients are amplitudes, numpy ffts are unnormalized
 
-    def rhs(state):
-        u1h = 1j * ky * state / k2_safe
-        u2h = -1j * kx * state / k2_safe
-        u1 = np.fft.ifft2(u1h).real * scale
-        u2 = np.fft.ifft2(u2h).real * scale
-        wx = np.fft.ifft2(1j * kx * state).real * scale
-        wy = np.fft.ifft2(1j * ky * state).real * scale
-        nh = np.fft.fft2(u1 * wx + u2 * wy) / scale
-        nh *= mask
-        nh[0, 0] = 0.0
-        return -nh
+    def velocity(w):
+        u1 = np.fft.ifft2(1j * ky * w / k2_safe).real * scale
+        u2 = np.fft.ifft2(-1j * kx * w / k2_safe).real * scale
+        return u1, u2
+
+    def rhs_into(w, t, out, scratch):
+        # out = -N(w), N the dealiased transform of u . grad w
+        u1, u2 = velocity(w)
+        wx = np.fft.ifft2(1j * kx * w).real * scale
+        wy = np.fft.ifft2(1j * ky * w).real * scale
+        np.divide(np.fft.fft2(u1 * wx + u2 * wy), scale, out=out)
+        out *= mask
+        out[0, 0] = 0.0
+        np.negative(out, out=out)
 
     state = embed_fft(w0, m)
     state *= mask
     state[0, 0] = 0.0
 
     # one-shot CFL heuristic on the initial data
-    u1h0 = 1j * ky * state / k2_safe
-    u2h0 = -1j * kx * state / k2_safe
-    speed = max(
-        np.abs(np.fft.ifft2(u1h0).real * scale).max(),
-        np.abs(np.fft.ifft2(u2h0).real * scale).max(),
-    )
+    speed = max(np.abs(u).max() for u in velocity(state))
     dx = 2 * math.pi / m
     if speed * dt / dx > 1.0:
         warnings.warn(
@@ -338,20 +355,10 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
 
     rec = _Recorder(trunc_out, trunc_out, True, config.sample_every, extra_diagnostics)
 
-    def record(step, t):
-        rec.record(step, t, extract_fft(state, trunc_out).coeffs)
+    def record(step, w):
+        rec.record(step, step * dt, extract_fft(w, trunc_out).coeffs)
 
-    record(0, 0.0)
-    for n in range(n_steps):
-        ka = rhs(state)
-        kb = rhs(e_half * (state + (dt / 2) * ka))
-        kc = rhs(e_half * state + (dt / 2) * kb)
-        kd = rhs(e_full * state + dt * (e_half * kc))
-        state = e_full * state + (dt / 6) * (e_full * ka + 2 * e_half * (kb + kc) + kd)
-        record(n + 1, (n + 1) * dt)
-    if len(rec.field_times) == 0 or rec.field_times[-1] != rec.times[-1]:
-        rec.field_times.append(rec.times[-1])
-        rec.fields.append(extract_fft(state, trunc_out))
+    _if_rk4(state, e_half, dt, n_steps, rhs_into, record)
     return rec.finish(
         {
             "kind": "nonlinear",

@@ -250,9 +250,14 @@ def estimate_m0(beta0, nu, a, ell, t=0.0, n_modes=128):
         raise ValueError("ell must be nonzero")
     if n_modes < 64:
         raise ValueError("n_modes must be at least 64")
-    c_pot = (beta0 / (2 * nu)) * (a * ell * math.exp(-nu * t)) ** 2
-    lam = oscillator_min_eig(0.125, c_pot, n_modes)
+    lam = _cosine_well_min_eig(beta0, nu, a, ell, t, n_modes)
     return lam * math.sqrt(nu) / (abs(ell) * math.sqrt(beta0))
+
+
+def _cosine_well_min_eig(beta0, nu, a, ell, t=0.0, n_modes=128):
+    """lambda_min of the oscillator H of :func:`estimate_m0`."""
+    c_pot = (beta0 / (2 * nu)) * (a * ell * math.exp(-nu * t)) ** 2
+    return oscillator_min_eig(0.125, c_pot, n_modes)
 
 
 def auto_m0(a, ell, nu, t=0.0, n_modes=128, rtol=1e-9, max_iterations=50):
@@ -266,9 +271,7 @@ def auto_m0(a, ell, nu, t=0.0, n_modes=128, rtol=1e-9, max_iterations=50):
     """
     m0 = 1.0
     for _ in range(max_iterations):
-        beta0 = m0 / (512 * a * a * abs(ell))
-        if beta0 <= 0:
-            return 0.0
+        beta0 = hypo_constants(m0, a, ell, nu).beta0
         new = estimate_m0(beta0, nu, a, ell, t, n_modes)
         if new <= 0:
             return 0.0

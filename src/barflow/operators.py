@@ -412,29 +412,23 @@ def load_matrix(path):
     return entries, meta
 
 
+def bar_slice_for(ell, trunc, nu, a, t=0.0, variant="full"):
+    """The bar slice of any variant: ``full`` and ``approximate`` from
+    :func:`bar_slice`, ``symmetrized`` from :func:`symmetrized_bar_slice`,
+    and ``adjoint`` as the adjoint of the ``full`` slice."""
+    if variant == "symmetrized":
+        return symmetrized_bar_slice(ell, trunc, nu, a, t)
+    if variant == "adjoint":
+        return adjoint_slice(bar_slice(ell, trunc, nu, a, t, "full"))
+    return bar_slice(ell, trunc, nu, a, t, variant)
+
+
 def build_from_params(params):
     """Rebuild an operator from a sidecar parameter dict."""
     kind = params["kind"]
     if kind == "bar_slice":
-        variant = params["variant"]
-        if variant == "symmetrized":
-            return symmetrized_bar_slice(
-                params["ell"], params["trunc"], params["nu"], params["a"], params["t"]
-            )
-        if variant == "adjoint":
-            return adjoint_slice(
-                bar_slice(
-                    params["ell"],
-                    params["trunc"],
-                    params["nu"],
-                    params["a"],
-                    params["t"],
-                    "full",
-                )
-            )
-        return bar_slice(
-            params["ell"], params["trunc"], params["nu"], params["a"], params["t"], variant
-        )
+        return bar_slice_for(params["ell"], params["trunc"], params["nu"], params["a"],
+                             params["t"], params["variant"])
     if kind == "dipole":
         if params["variant"] == "dipole-symmetrized":
             return symmetrized_dipole_operator(

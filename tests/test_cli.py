@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ class TestSpectrumCommand:
         b = str(tmp_path / "b.csv")
         main(["spectrum", "--ell", "2", "--trunc", "10", "--nu", "0.001", "--out", a])
         main(["spectrum", "--ell", "2", "--trunc", "10", "--nu", "0.001", "--out", b])
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_usage_error_exit_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -97,7 +98,7 @@ class TestCollapseCommand:
         for rank, nu, val in rows:
             spec = bf.compute_spectrum(bf.bar_slice(2, 10, float(nu), 1.0))
             want = bf.least_decaying(spec).real / math.sqrt(float(nu))
-            assert float(val) == pytest.approx(want, rel=1e-12)
+            assert float(val) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestEvolveCommand:
@@ -112,7 +113,7 @@ class TestEvolveCommand:
                           "grad_norm_sq"]
         # exact solution: l2 shrinks by e^{-nu t}
         assert float(rows[-1][1]) == pytest.approx(
-            float(rows[0][1]) * math.exp(-0.01), rel=1e-9
+            float(rows[0][1]) * math.exp(-0.01), rel=1e-9, abs=0
         )
         field = bf.load_field(prefix + "_field_0000.csv")
         assert field.get(1, 0) == 0.5
@@ -154,8 +155,8 @@ class TestEvolveCommand:
                 "--sample-every", "5"]
         main(args + ["--out-prefix", pa])
         main(args + ["--out-prefix", pb])
-        assert open(pa + "_diagnostics.csv").read() == open(pb + "_diagnostics.csv").read()
-        assert open(pa + "_field_0002.csv").read() == open(pb + "_field_0002.csv").read()
+        assert Path(pa + "_diagnostics.csv").read_text() == Path(pb + "_diagnostics.csv").read_text()
+        assert Path(pa + "_field_0002.csv").read_text() == Path(pb + "_field_0002.csv").read_text()
 
 
 class TestHypoCommand:

@@ -164,7 +164,7 @@ class TestNuSweep:
         nus = [0.004, 0.002, 0.001, 0.0005]
         sweep = bf.nu_sweep(2, 10, nus, amplitude=0.0)
         for nu, spec in sweep:
-            assert bf.least_decaying(spec).real == pytest.approx(-4 * nu, rel=1e-12)
+            assert bf.least_decaying(spec).real == pytest.approx(-4 * nu, rel=1e-12, abs=0)
         fit = bf.fit_scaling(sweep)
         assert fit.slope == pytest.approx(1.0, abs=1e-10)
 
@@ -206,7 +206,7 @@ class TestCollapseTable:
             assert rank == 1
             spec = bf.compute_spectrum(bf.bar_slice(2, 15, nu, 1.0))
             assert val == pytest.approx(
-                bf.least_decaying(spec).real / math.sqrt(nu), rel=1e-12
+                bf.least_decaying(spec).real / math.sqrt(nu), rel=1e-12, abs=0
             )
 
     def test_shape(self):

@@ -48,7 +48,7 @@ class TestEvolveLinear:
         for t, f in zip(traj.field_times, traj.fields):
             i = int(np.argmin(np.abs(traj.times - t)))
             assert traj.diagnostics["enstrophy"][i] == pytest.approx(
-                bf.enstrophy(f), rel=1e-14
+                bf.enstrophy(f), rel=1e-14, abs=0
             )
 
     def test_central_mode_follows_ode(self):
@@ -68,8 +68,11 @@ class TestEvolveLinear:
 
 
 def unflushed_if_rk4(c0, nu, a, dt, n_steps):
-    """IF-RK4 for the full shear generator with no flush, in the same
-    floating-point operation order as ``evolve_linear``."""
+    """IF-RK4 for the full shear generator with no flush, written apart
+    from the package in the same floating-point operation order as
+    ``evolution._if_rk4``: k1..k4 at t, t + dt/2, t + dt/2, t + dt, then
+    w <- E^2 w + dt/6 (E^2 k1 + 2 (E (k2 + k3)) + k4) with E the
+    half-step diffusion factor."""
     nx, ny = (c0.shape[0] - 1) // 2, (c0.shape[1] - 1) // 2
     ks = np.arange(-nx, nx + 1)[:, None]
     ls = np.arange(-ny, ny + 1)[None, :]
@@ -120,7 +123,7 @@ class TestSubnormalFlush:
         assert traj.params["flushed_parts"] > 0
 
         l2_want = math.sqrt(float((np.abs(want) ** 2).sum()))
-        assert traj.diagnostics["l2"][-1] == pytest.approx(l2_want, rel=1e-14)
+        assert traj.diagnostics["l2"][-1] == pytest.approx(l2_want, rel=1e-14, abs=0)
         # each real and imaginary part moves by less than the threshold
         assert np.abs(got.view(float) - want.view(float)).max() < bf.evolution.FLUSH_BELOW
         assert subnormal_parts(got) == 0
@@ -211,8 +214,8 @@ class TestDecayRateFit:
             fields=[],
         )
         fit = bf.decay_rate_fit(traj, "enstrophy")
-        assert fit.rate == pytest.approx(3.0, rel=1e-12)
-        assert fit.amplitude == pytest.approx(1.0, rel=1e-12)
+        assert fit.rate == pytest.approx(3.0, rel=1e-12, abs=0)
+        assert fit.amplitude == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_pure_mode_l2_rate(self):
         nu = 0.01
@@ -220,7 +223,7 @@ class TestDecayRateFit:
         cfg = bf.IntegratorConfig(dt=0.05, t_final=20.0)
         traj = bf.evolve_linear(w0, nu, 1.0, "full", cfg)
         fit = bf.decay_rate_fit(traj, "l2")
-        assert fit.rate == pytest.approx(2 * nu, rel=0.01)
+        assert fit.rate == pytest.approx(2 * nu, rel=0.01, abs=0)
 
     def test_window_and_validation(self):
         traj = bf.Trajectory(

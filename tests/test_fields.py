@@ -21,7 +21,7 @@ class TestBarState:
     def test_decay_factor(self):
         nu = 0.01
         w = bf.bar_state(1, 4, 4, t=1.0 / nu, nu=nu)
-        assert w.get(1, 0) == pytest.approx(math.exp(-1) / 2, rel=1e-15)
+        assert w.get(1, 0) == pytest.approx(math.exp(-1) / 2, rel=1e-15, abs=0)
 
     def test_sin_m2(self):
         w = bf.bar_state(2, 4, 4, phase="sin")
@@ -147,14 +147,14 @@ class TestMembership:
         planted = bf.SpectralField(w.nx, w.ny, c, copy=False)
         ok, viol = bf.is_anomalous_free(planted, tol=1e-6)
         assert not ok
-        assert viol == pytest.approx(2e-3, rel=1e-12)
+        assert viol == pytest.approx(2e-3, rel=1e-12, abs=0)
 
 
 class TestQuadraticDiagnostics:
     def test_enstrophy_cos_x(self):
         # integral of cos^2 x over the torus = 2 pi^2
         assert bf.enstrophy(bf.bar_state(1, 4, 4)) == pytest.approx(
-            2 * math.pi**2, rel=1e-14
+            2 * math.pi**2, rel=1e-14, abs=0
         )
 
     def test_zero_field(self):
@@ -163,7 +163,7 @@ class TestQuadraticDiagnostics:
 
     def test_grad_norm_cos_x(self):
         assert bf.grad_norm_sq(bf.bar_state(1, 4, 4)) == pytest.approx(
-            2 * math.pi**2, rel=1e-14
+            2 * math.pi**2, rel=1e-14, abs=0
         )
 
     def test_poincare(self):

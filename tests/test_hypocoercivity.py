@@ -21,8 +21,8 @@ class TestConstants:
     def test_cross_term_margin_hand_arithmetic(self):
         # at m0 = a = ell = 1: 1/512^2 < (1/4096)/4 = 1/16384
         c = bf.hypo_constants(1.0, 1.0, 1, nu=1.0)
-        assert c.beta0**2 == pytest.approx(1 / 262144, rel=1e-12)
-        assert c.alpha0 * c.gamma0 / 4 == pytest.approx(1 / 16384, rel=1e-12)
+        assert c.beta0**2 == pytest.approx(1 / 262144, rel=1e-12, abs=0)
+        assert c.alpha0 * c.gamma0 / 4 == pytest.approx(1 / 16384, rel=1e-12, abs=0)
 
     def test_nu_scaled_weights(self):
         nu = 4e-4
@@ -62,13 +62,13 @@ class TestXNorm:
         x = np.linspace(-math.pi, math.pi, 40001)
         quad = np.trapezoid(np.abs(np.cos(x) * np.exp(1j * x)) ** 2, x)
         want = 2 * math.pi + math.sqrt(nu) * 2 * math.pi + quad / math.sqrt(nu)
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
 
     def test_homogeneity(self):
         w1 = bf.mode_field(4, 2, {(1, 1): 1.0})
         w2 = bf.mode_field(4, 2, {(1, 1): 2.0})
         assert bf.x_norm_sq(w2, 0.01, 1.0) == pytest.approx(
-            4 * bf.x_norm_sq(w1, 0.01, 1.0), rel=1e-14
+            4 * bf.x_norm_sq(w1, 0.01, 1.0), rel=1e-14, abs=0
         )
 
     def test_shear_content_rejected(self):
@@ -89,7 +89,7 @@ class TestFunctional:
         row = rng.standard_normal(15) + 1j * rng.standard_normal(15)
         s = bf.functional_sample(row, c, 0.3)
         want = s.l2_sq + c.alpha * s.dx_sq - 2 * c.beta * s.cross_term + c.gamma * s.c_sq
-        assert s.phi_value == pytest.approx(want, rel=1e-14)
+        assert s.phi_value == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_beta_zero_override_nonnegative(self):
         base = bf.hypo_constants(0.25, 1.0, 2, 1e-3)
@@ -130,13 +130,13 @@ class TestOscillatorEstimate:
         # doubling the potential coefficient scales the gap by sqrt(2)
         lam1 = bf.oscillator_min_eig(0.125, 125.0, 128)
         lam2 = bf.oscillator_min_eig(0.125, 250.0, 128)
-        assert lam2 / lam1 == pytest.approx(math.sqrt(2), rel=0.05)
+        assert lam2 / lam1 == pytest.approx(math.sqrt(2), rel=0.05, abs=0)
 
     def test_auto_m0_self_consistent(self):
         m0 = bf.auto_m0(1.0, 2, 1e-4)
         beta0 = m0 / (512 * 1.0 * 2)
         again = bf.estimate_m0(beta0, 1e-4, 1.0, 2)
-        assert again == pytest.approx(m0, rel=1e-6)
+        assert again == pytest.approx(m0, rel=1e-6, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,7 +153,7 @@ class TestDecayCheck:
         # a = 0 reduces to pure diffusion of the single populated mode
         w0 = bf.mode_field(6, 3, {(1, 2): 1.0})
         fit = bf.decay_check(w0, 1e-3, 0.0, t_final=1000.0, dt=0.5)
-        assert fit.rate == pytest.approx(2e-3 * 5, rel=1e-9)
+        assert fit.rate == pytest.approx(2e-3 * 5, rel=1e-9, abs=0)
 
     def test_anomalous_content_rejected(self):
         with pytest.raises(ValueError):
@@ -174,8 +174,8 @@ class TestFunctionalDissipation:
         traj = bf.evolve_linear(w0, nu, 0.0, "approximate", cfg)
         rep = bf.functional_dissipation(traj, cst)
         want = -2 * nu * (k * k + ell * ell)
-        assert rep.min_ratio == pytest.approx(want, rel=1e-4)
-        assert rep.max_ratio == pytest.approx(want, rel=1e-4)
+        assert rep.min_ratio == pytest.approx(want, rel=1e-4, abs=0)
+        assert rep.max_ratio == pytest.approx(want, rel=1e-4, abs=0)
 
     def test_zero_row_empty_report(self):
         cst = bf.hypo_constants(0.25, 1.0, 2, 1e-3)
@@ -207,7 +207,7 @@ class TestDiagnosticsIntegration:
         for t, f in zip(traj.field_times, traj.fields):
             i = int(np.argmin(np.abs(traj.times - t)))
             assert traj.diagnostics["x_norm"][i] == pytest.approx(
-                math.sqrt(bf.x_norm_sq(f, nu, a, t)), rel=1e-12
+                math.sqrt(bf.x_norm_sq(f, nu, a, t)), rel=1e-12, abs=0
             )
 
     def test_phi_diagnostic(self):
@@ -221,4 +221,4 @@ class TestDiagnosticsIntegration:
         )
         row = traj.fields[0].coeffs[:, 2 + 3]
         s = bf.functional_sample(row, cst, 0.0)
-        assert traj.diagnostics["phi"][0] == pytest.approx(s.phi_value, rel=1e-12)
+        assert traj.diagnostics["phi"][0] == pytest.approx(s.phi_value, rel=1e-12, abs=0)

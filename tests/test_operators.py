@@ -139,7 +139,7 @@ class TestSymmetrizedSlice:
         i = op.trunc
         got = op.matrix[i + 1, i]
         want = -(2 / 2) * math.sqrt(1 - 1 / 5) * math.sqrt(1 - 1 / 4)
-        assert got == pytest.approx(want, rel=1e-15)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
         assert math.sqrt(1 - 1 / 5) == pytest.approx(0.894427, abs=1e-6)
 
     def test_ell_one_excludes_center(self):
@@ -200,7 +200,7 @@ class TestAnomalousGenerator:
 
     def test_coupling_magnitude(self):
         a = bf.anomalous_generator(0.01, 1.0, 0.0, 3)
-        assert a[1, 2] == pytest.approx(0.4, rel=1e-15)  # (a/2)(1 - 1/5)
+        assert a[1, 2] == pytest.approx(0.4, rel=1e-15, abs=0)  # (a/2)(1 - 1/5)
         assert a[1, 0] == 0.0  # center mode never drives
 
     def test_zero_amplitude(self):
