@@ -6,9 +6,9 @@ most a few thousand square, so the dense route is the robust default.
 The operators store their matrices as real (``float64``), and the solver
 follows the dtype: a real matrix is solved in real arithmetic, a complex
 one by the complex solver.  A real bar slice that commutes with the parity
-map ``(J w)(k) = (-1)^k w(-k)`` is split into its J = +1 and J = -1
-sectors, two real blocks of about half the size, whose spectra together
-are the slice's.
+map :func:`barflow.fields.parity`, ``(J w)(k) = (-1)^k w(-k)``, is split
+into its J = +1 and J = -1 sectors, two real blocks of about half the
+size, whose spectra together are the slice's.
 Eigenvalues are sorted by descending real part with ties broken by
 ascending imaginary part, which makes sweep tables and rank-collapse plots
 deterministic.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators
+from . import fields, operators
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def _parity_sectors(ks, mat):
     """
     if not np.array_equal(ks, -ks[::-1]):
         return None
-    sign = np.where(ks % 2 == 0, 1.0, -1.0)
+    sign = fields.parity(np.ones(len(ks)), fields.parity_odd(ks))  # (-1)^k
     if not np.array_equal(mat, np.outer(sign, sign) * mat[::-1, ::-1]):
         return None
     half = len(ks) // 2  # columns with k < 0; index ``half`` is k = 0 if present

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PARSEVAL, _wrap
+from .fields import PARSEVAL, _wrap, anomalous_content_raw, parity_odd
 from .operators import _coupling_factor, _k_neighbours
 
 # Over t ~ 1/nu the integrating factor exp(-nu k^2 t) drives the high modes
@@ -31,8 +31,8 @@ from .operators import _coupling_factor, _k_neighbours
 # * the square of a flushed part is below 1e-580, which underflows to
 #   exactly 0, so it adds nothing to l2, enstrophy or grad_norm_sq;
 # * the test |x| < FLUSH_BELOW is symmetric in sign, so the flush commutes
-#   exactly with the parity map J = S.P, (J w)(k) = (-1)^k w(-k) on each
-#   row, and with conjugation.
+#   exactly with the parity map J of fields.parity, (J w)(k) = (-1)^k w(-k)
+#   on each row, and with conjugation.
 FLUSH_EVERY = 64
 FLUSH_BELOW = 1e-290
 
@@ -90,18 +90,6 @@ class DecayFit:
     n_samples: int
 
 
-def _raw_max_pq(coeffs, ny, even):
-    """Largest anomalous-coordinate magnitude straight off a raw array;
-    ``even`` marks the even wavenumbers k of the rows."""
-    worst = float(np.abs(coeffs[:, ny]).max())
-    for l in (1, -1):
-        row = coeffs[:, l + ny]
-        flipped = row[::-1]
-        vals = np.abs(np.where(even, row + flipped, row - flipped))
-        worst = max(worst, float(vals.max()))
-    return worst
-
-
 class _Recorder:
     def __init__(self, nx, ny, real_valued, sample_every, extra_diagnostics):
         self.nx = nx
@@ -112,7 +100,7 @@ class _Recorder:
         ks = np.arange(-nx, nx + 1)[:, None]
         ls = np.arange(-ny, ny + 1)[None, :]
         self.lap = (ks * ks + ls * ls).astype(float)
-        self.even = (ks[:, 0] % 2) == 0
+        self.odd = parity_odd(ks)
         self.times = []
         self.diag = {name: [] for name in
                      ("l2", "enstrophy", "grad_norm_sq", "max_pq", *self.extra)}
@@ -128,7 +116,7 @@ class _Recorder:
         self.diag["l2"].append(math.sqrt(l2_sq))
         self.diag["enstrophy"].append(PARSEVAL * l2_sq)
         self.diag["grad_norm_sq"].append(PARSEVAL * float((self.lap * sq).sum()))
-        self.diag["max_pq"].append(_raw_max_pq(coeffs, self.ny, self.even))
+        self.diag["max_pq"].append(anomalous_content_raw(coeffs, self.ny, self.odd))
         view = None
         if self.extra:
             view = _wrap(self.nx, self.ny, coeffs.view(), self.real_valued)

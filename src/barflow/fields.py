@@ -15,6 +15,11 @@ Taylor-Green ("dipole") states, the Biot-Savart velocity reconstruction,
 the anomalous-mode coordinates on the |l| = 1 rows together with the
 orthogonal projection that removes them, quadratic diagnostics, and a CSV
 interchange format shared by the rest of the package.
+
+The anomalous subspace is defined by the parity map J of :func:`parity`,
+(J w)(k, l) = (-1)^k w(-k, l): it is the whole l = 0 row plus the J = +1
+part of the rows l = +-1.  Its coordinates are the entries of w + J w on
+those rows, and the projection that removes it keeps (w - J w)/2 there.
 """
 
 from __future__ import annotations
@@ -227,18 +232,40 @@ def biot_savart(w):
     )
 
 
+def parity_odd(ks):
+    """The odd-k mask of integer wavenumbers ``ks``: the sign pattern of
+    :func:`parity`.  Give ``ks`` the shape that broadcasts against the
+    arrays J acts on (``ks[:, None]`` for a block of rows)."""
+    return np.asarray(ks) % 2 != 0
+
+
+def parity(c, odd):
+    """The parity map (J c)(k) = (-1)^k c(-k) along the first axis of ``c``.
+
+    The first axis runs over wavenumbers symmetric about 0, whose odd-k
+    mask ``odd`` is :func:`parity_odd`.  Odd entries are negated rather
+    than multiplied by -1, which could flip the sign of a zero part.
+    """
+    flipped = c[::-1]
+    return np.where(odd, -flipped, flipped)
+
+
+def _pm1_rows(coeffs, ny):
+    """The rows l = -1 and l = +1 of a raw coefficient array, as one view."""
+    return coeffs[:, ny - 1 : ny + 2 : 2]
+
+
 @dataclass(frozen=True)
 class AnomalousCoordinates:
     """Pairwise mode combinations on the |l| = 1 rows that detect slow content.
 
-    For j = 0..jmax,
+    They are the entries k = 0..2 jmax + 1 of w + J w on the row l = sign:
+    for j = 0..jmax,
 
         even_sums_(sign)[j] = what(2j, sign) + what(-2j, sign)
         odd_diffs_(sign)[j] = what(2j+1, sign) - what(-(2j+1), sign)
 
-    (so even_sums[0] = 2 what(0, sign)).  A field free of viscously-decaying
-    anomalous content has all of these equal to zero, together with the
-    whole l = 0 row.
+    (so even_sums[0] = 2 what(0, sign)).
     """
 
     jmax: int
@@ -247,76 +274,55 @@ class AnomalousCoordinates:
     even_sums_minus: np.ndarray
     odd_diffs_minus: np.ndarray
 
-    def max_abs(self):
-        return float(
-            max(
-                np.abs(self.even_sums_plus).max(),
-                np.abs(self.odd_diffs_plus).max(),
-                np.abs(self.even_sums_minus).max(),
-                np.abs(self.odd_diffs_minus).max(),
-            )
-        )
-
-
-def default_jmax(nx):
-    """Largest jmax with 2*jmax + 1 <= nx."""
-    return (nx - 1) // 2
-
 
 def anomalous_coordinates(w, jmax=None):
     """Extract the paired even-sum / odd-difference coordinates.
 
-    Requires 2*jmax + 1 <= nx so every referenced mode is stored.
+    ``jmax`` defaults to the largest value with 2*jmax + 1 <= nx, which is
+    required so every referenced mode is stored.
     """
     if jmax is None:
-        jmax = default_jmax(w.nx)
+        jmax = (w.nx - 1) // 2
     jmax = int(jmax)
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
     if 2 * jmax + 1 > w.nx:
         raise ValueError(f"jmax={jmax} exceeds truncation nx={w.nx}")
-    js = np.arange(jmax + 1)
-    out = {}
-    for sign, l in (("plus", 1), ("minus", -1)):
-        row = w.coeffs[:, l + w.ny]
-        even = row[2 * js + w.nx] + row[-2 * js + w.nx]
-        odd = row[(2 * js + 1) + w.nx] - row[-(2 * js + 1) + w.nx]
-        out[sign] = (even, odd)
-    return AnomalousCoordinates(
-        jmax,
-        out["plus"][0],
-        out["plus"][1],
-        out["minus"][0],
-        out["minus"][1],
-    )
+    rows = _pm1_rows(w.coeffs, w.ny)
+    sums = rows + parity(rows, parity_odd(w.wavenumbers()[0]))
+    even = sums[w.nx : w.nx + 2 * jmax + 1 : 2]
+    odd = sums[w.nx + 1 : w.nx + 2 * jmax + 2 : 2]
+    return AnomalousCoordinates(jmax, even[:, 1], odd[:, 1], even[:, 0], odd[:, 0])
 
 
 def remove_anomalous(w):
-    """Orthogonal projection killing every anomalous coordinate.
+    """Orthogonal projection onto the anomalous-free subspace.
 
-    The l = 0 row is zeroed.  On the rows l = +-1 the even-k coefficients
-    are replaced by their antisymmetric part (what(k) - what(-k))/2 and the
-    odd-k coefficients by their symmetric part (what(k) + what(-k))/2; all
-    other rows are untouched.  Idempotent, linear, and orthogonal for the
-    coefficient inner product.
+    The l = 0 row is zeroed and the rows l = +-1 are replaced by their
+    J = -1 parts (w - J w)/2, so even-k coefficients become (what(k) -
+    what(-k))/2 and odd-k ones (what(k) + what(-k))/2; all other rows are
+    untouched.  Idempotent, linear, and orthogonal for the coefficient
+    inner product.
     """
     c = w.coeffs.copy()
     c[:, w.ny] = 0.0
-    ks = np.arange(-w.nx, w.nx + 1)
-    even = (ks % 2) == 0
-    for l in (1, -1):
-        row = c[:, l + w.ny]
-        flipped = row[::-1].copy()
-        c[:, l + w.ny] = np.where(even, (row - flipped) / 2, (row + flipped) / 2)
+    rows = _pm1_rows(c, w.ny)
+    rows[...] = (rows - parity(rows, parity_odd(w.wavenumbers()[0]))) / 2
     return _wrap(w.nx, w.ny, c, w.real_valued)
 
 
-def anomalous_content(w, jmax=None):
-    """Largest anomalous-coordinate magnitude: the shear-aligned row and the
-    paired combinations on the |l| = 1 rows."""
-    shear = float(np.abs(w.coeffs[:, w.ny]).max())
-    coords = anomalous_coordinates(w, jmax)
-    return max(shear, coords.max_abs())
+def anomalous_content_raw(coeffs, ny, odd):
+    """max(|l = 0 row|, |c + J c| on the rows l = +-1) of a raw coefficient
+    array; ``odd`` is :func:`parity_odd` of the wavenumbers as a column."""
+    rows = _pm1_rows(coeffs, ny)
+    shear = float(np.abs(coeffs[:, ny]).max())
+    return max(shear, float(np.abs(rows + parity(rows, odd)).max()))
+
+
+def anomalous_content(w):
+    """Largest anomalous-coordinate magnitude: the shear-aligned row and
+    every entry of w + J w on the |l| = 1 rows."""
+    return anomalous_content_raw(w.coeffs, w.ny, parity_odd(w.wavenumbers()[0]))
 
 
 def is_anomalous_free(w, tol=1e-10):

@@ -229,8 +229,10 @@ def symmetrized_bar_slice(ell, trunc, nu, a, t=0.0):
     ks = np.arange(-trunc, trunc + 1)
     mult = np.sqrt(_coupling_factor(ks, ell))
     # each coupling pair is computed once and mirrored with an exact sign
-    # flip, so the advective part is antisymmetric bit-for-bit
-    sup = 0.5 * a * ell * _amplitude(1.0, nu, t) * mult * _k_neighbours(mult)[1]
+    # flip, so the advective part is antisymmetric bit-for-bit; the product
+    # mult(k) mult(k+1) is formed first, so that it is symmetric in k and
+    # the slice commutes with J bit-for-bit at any amplitude
+    sup = 0.5 * a * ell * _amplitude(1.0, nu, t) * (mult * _k_neighbours(mult)[1])
     sub = -_k_neighbours(sup)[0]
     mat = _banded(-nu * (ks * ks + ell * ell), {+1: sup, -1: sub})
     if abs(ell) == 1:

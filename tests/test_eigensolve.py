@@ -57,9 +57,16 @@ def _slices(trunc):
         for ell in (1, 2, 3)
         for variant in ("full", "approximate")
     ]
-    out += [bf.symmetrized_bar_slice(ell, trunc, 1e-3, 1.0) for ell in (1, 2)]
+    out += [bf.symmetrized_bar_slice(ell, trunc, 1e-3, 1.0) for ell in (1, 2, 3)]
+    # a non-dyadic amplitude and time: 0.5 a ell e^{-nu t} is not a power of two
+    out.append(bf.symmetrized_bar_slice(2, trunc, 1e-3, 1.3, 0.7))
     out.append(bf.adjoint_slice(bf.bar_slice(2, trunc, 1e-3, 1.0)))
     return out
+
+
+def _slice_id(op):
+    extra = "" if (op.a, op.t) == (1.0, 0.0) else f"-a{op.a}-t{op.t}"
+    return f"{op.variant}-{op.ell}{extra}"
 
 
 def _hausdorff(a, b):
@@ -77,13 +84,13 @@ def _parity_map(ks):
 
 
 class TestParitySectors:
-    @pytest.mark.parametrize("op", _slices(30), ids=lambda op: f"{op.variant}-{op.ell}")
+    @pytest.mark.parametrize("op", _slices(30), ids=_slice_id)
     def test_slices_commute_with_parity(self, op):
         jmat = _parity_map(op.wavenumbers)
         assert np.array_equal(jmat @ op.matrix, op.matrix @ jmat)
         assert not np.any(op.matrix.imag)
 
-    @pytest.mark.parametrize("op", _slices(30), ids=lambda op: f"{op.variant}-{op.ell}")
+    @pytest.mark.parametrize("op", _slices(30), ids=_slice_id)
     def test_sector_spectrum_matches_dense_complex(self, op):
         blocks = eigensolve._parity_sectors(op.wavenumbers, op.matrix.real)
         assert blocks is not None

@@ -134,6 +134,13 @@ class TestMembership:
         ok, _ = bf.is_anomalous_free(bf.bar_state(1, 6, 6))
         assert not ok
 
+    def test_even_nx_edge_pair_fails(self):
+        # at even nx the pair (+-nx, 1) is J-even, hence anomalous
+        w = bf.mode_field(4, 4, {(4, 1): 1.0, (-4, 1): 1.0})
+        ok, viol = bf.is_anomalous_free(w)
+        assert not ok and viol == 2.0
+        assert bf.remove_anomalous(w).norm() == 0.0
+
     def test_reported_violation_magnitude(self):
         w = bf.random_field(9, 9, 5)
         c = w.coeffs.copy()
