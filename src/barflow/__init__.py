@@ -1,8 +1,8 @@
 """Spectral study of metastable shear states of the 2D vorticity equation.
 
 Subpackages by task: :mod:`barflow.fields` (spectral fields, exact states,
-anomalous-mode bookkeeping), :mod:`barflow.operators` (dense linearization
-matrices), :mod:`barflow.eigensolve` (spectra and viscosity-scaling fits),
+anomalous-mode bookkeeping), :mod:`barflow.operators` (banded and dense
+linearizations), :mod:`barflow.eigensolve` (spectra and viscosity-scaling fits),
 :mod:`barflow.evolution` (linear and pseudo-spectral time integration),
 :mod:`barflow.hypocoercivity` (weighted norms and enhanced-decay checks),
 and :mod:`barflow.cli` (the experiment runner).

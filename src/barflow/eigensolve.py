@@ -3,12 +3,12 @@
 Spectra are computed with LAPACK's general dense solver (Hessenberg
 reduction plus shifted QR, backward stable) via numpy; matrices here are at
 most a few thousand square, so the dense route is the robust default.
-The operators store their matrices as real (``float64``), and the solver
-follows the dtype: a real matrix is solved in real arithmetic, a complex
-one by the complex solver.  A real bar slice that commutes with the parity
-map :func:`barflow.fields.parity`, ``(J w)(k) = (-1)^k w(-k)``, is split
-into its J = +1 and J = -1 sectors, two real blocks of about half the
-size, whose spectra together are the slice's.
+The operators are stored as real (``float64``), and the solver follows the
+dtype: a real matrix is solved in real arithmetic, a complex one by the
+complex solver.  A real bar slice that commutes with the parity map
+:func:`barflow.fields.parity`, ``(J w)(k) = (-1)^k w(-k)``, is split into
+its J = +1 and J = -1 sectors, two real tridiagonal blocks of about half
+the size read off its bands, whose spectra together are the slice's.
 Eigenvalues are sorted by descending real part with ties broken by
 ascending imaginary part, which makes sweep tables and rank-collapse plots
 deterministic.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields, operators
+from . import operators
 
 
 @dataclass(frozen=True)
@@ -70,51 +70,44 @@ def _sort(vals, tie_tol=1e-9):
     return out
 
 
-def _params_of(op):
-    if hasattr(op, "params"):
-        return op.params()
-    return {}
+def _check_finite(op):
+    """Raise ValueError unless the bands (slice) or matrix of ``op`` are finite."""
+    parts = (op.diag, op.sub, op.sup) if isinstance(op, operators.OperatorSlice) else (op.matrix,)
+    if not all(np.all(np.isfinite(p)) for p in parts):
+        raise ValueError(f"matrix has non-finite entries: {op.params()}")
 
 
-def _checked_matrix(op):
-    mat = np.asarray(op.matrix)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"matrix has non-finite entries: {_params_of(op)}")
-    return mat
-
-
-def _parity_sectors(ks, mat):
-    """The J = +1 and J = -1 blocks of a real matrix on wavenumbers ``ks``,
-    or None unless ``ks`` is symmetric and ``mat`` commutes with J exactly.
+def _parity_sectors(op):
+    """The J = +1 and J = -1 blocks of a real bar slice, or None unless its
+    wavenumbers are symmetric and its bands commute with J exactly:
+    diag(k) = diag(-k) and sup(k) = -sub(-k).
 
     J = +1 vectors satisfy w(-k) = (-1)^k w(k) and are coordinatized by
     k >= 0; J = -1 vectors satisfy w(-k) = -(-1)^k w(k), so w(0) = 0, and
-    are coordinatized by k >= 1.  Column k > 0 of a block is column k of
-    ``mat`` plus (J = +1) or minus (J = -1) (-1)^k times column -k.
+    are coordinatized by k >= 1.  Each block keeps the slice's bands on
+    those k, except that row 0 of the J = +1 block couples to k = 1 by
+    sup(0) - sub(0), or, with k = 0 absent, row 1 adds -+sub(1) to diag(1).
     """
-    if not np.array_equal(ks, -ks[::-1]):
+    ks, diag, sub, sup = op.wavenumbers, op.diag, op.sub, op.sup
+    commutes = (np.array_equal(ks, -ks[::-1]) and np.array_equal(diag, diag[::-1])
+                and np.array_equal(sub, -sup[::-1]))
+    if np.iscomplexobj(np.r_[diag, sub, sup]) or not commutes:
         return None
-    sign = fields.parity(np.ones(len(ks)), fields.parity_odd(ks))  # (-1)^k
-    if not np.array_equal(mat, np.outer(sign, sign) * mat[::-1, ::-1]):
-        return None
-    half = len(ks) // 2  # columns with k < 0; index ``half`` is k = 0 if present
-    zero = len(ks) - 2 * half
-    mirror = mat[:, :half][:, ::-1] * sign[half + zero :]
-    even = mat[half:, half:].copy()
-    even[:, zero:] += mirror[half:]
-    odd = mat[half + zero :, half + zero :] - mirror[half + zero :]
-    return [even, odd]
+    h = len(ks) // 2  # index of the first k >= 0
+    if ks[h] == 0:
+        even = (diag[h:], sub[h:], np.r_[sup[h] - sub[h], sup[h + 1 :]])
+        odd = (diag[h + 1 :], sub[h + 1 :], sup[h + 1 :])
+    else:
+        even = (np.r_[diag[h] - sub[h], diag[h + 1 :]], sub[h:], sup[h:])
+        odd = (np.r_[diag[h] + sub[h], diag[h + 1 :]], sub[h:], sup[h:])
+    return [operators._tridiagonal(*even), operators._tridiagonal(*odd)]
 
 
-def _blocks(op, mat):
-    """Matrices whose spectra together are the spectrum of ``mat``."""
-    if np.iscomplexobj(mat):
-        return [mat]
-    if isinstance(op, operators.OperatorSlice):
-        sectors = _parity_sectors(np.asarray(op.wavenumbers), mat)
-        if sectors is not None:
-            return sectors
-    return [mat]
+def _blocks(op):
+    """Matrices whose spectra together are the spectrum of ``op``."""
+    _check_finite(op)
+    sectors = _parity_sectors(op) if isinstance(op, operators.OperatorSlice) else None
+    return [op.matrix] if sectors is None else sectors
 
 
 def compute_spectrum(op):
@@ -126,12 +119,12 @@ def compute_spectrum(op):
     Raises ValueError on non-finite entries and RuntimeError (with the
     build parameters attached) if the QR iteration fails to converge.
     """
-    mat = _checked_matrix(op)
+    blocks = _blocks(op)
     try:
-        vals = [np.linalg.eigvals(block) for block in _blocks(op, mat)]
+        vals = [np.linalg.eigvals(block) for block in blocks]
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed for {_params_of(op)}: {exc}") from exc
-    return Spectrum(_sort(np.concatenate(vals).astype(complex, copy=False)), _params_of(op))
+        raise RuntimeError(f"eigensolver failed for {op.params()}: {exc}") from exc
+    return Spectrum(_sort(np.concatenate(vals).astype(complex, copy=False)), op.params())
 
 
 def least_decaying(spectrum):
@@ -197,15 +190,11 @@ def collapse_table(ell, trunc, nus, count, amplitude=1.0, variant="full"):
 
 def eigen_residual(op):
     """max_i ||M v_i - lambda_i v_i|| / (||M|| ||v_i||) over all eigenpairs."""
-    mat = _checked_matrix(op)
+    _check_finite(op)
+    mat = op.matrix
     try:
         vals, vecs = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed for {_params_of(op)}: {exc}") from exc
-    mnorm = np.linalg.norm(mat, 2)
-    worst = 0.0
-    mv = mat @ vecs
-    for i, lam in enumerate(vals):
-        r = np.linalg.norm(mv[:, i] - lam * vecs[:, i])
-        worst = max(worst, r / (mnorm * np.linalg.norm(vecs[:, i])))
-    return worst
+        raise RuntimeError(f"eigensolver failed for {op.params()}: {exc}") from exc
+    res = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
+    return float((res / (np.linalg.norm(mat, 2) * np.linalg.norm(vecs, axis=0))).max())

@@ -1,20 +1,21 @@
-"""Dense matrix representations of the linearized vorticity operators.
+"""The linearized vorticity operators: banded slices and dense matrices.
 
-All matrices act on coefficient vectors indexed by wavenumber.  For the
-per-row ("slice") operators at fixed transverse wavenumber ell, row i of a
-matrix corresponds to k = i - N, k in [-N, N]; the symmetrized slice with
-|ell| = 1 removes k = 0, and the retained wavenumbers are recorded on the
-returned object.  For the two-dimensional Taylor-Green linearization, rows
-enumerate modes (k, l) in lexicographic order, skipping the excluded set;
-the index map is stored explicitly as ``modes``.
+All operators act on coefficient vectors indexed by wavenumber.  A per-row
+("slice") operator at fixed transverse wavenumber ell is tridiagonal in k
+and is stored as its three bands, row i for k = i - N, k in [-N, N]; the
+symmetrized slice with |ell| = 1 removes k = 0, and the retained
+wavenumbers are recorded on the returned object.  The two-dimensional
+Taylor-Green linearization is a dense matrix whose rows enumerate modes
+(k, l) in lexicographic order, skipping the excluded set; the index map is
+stored explicitly as ``modes``.
 
 The shear coupling is defined once: mode (k, l) couples to (k +- 1, l)
 through the non-local factor g = 1 - 1/(k^2 + l^2) (:func:`_coupling_factor`,
 1 for the ``approximate`` variant) and the zero-padded neighbour shift
 :func:`_k_neighbours`.  Every slice, dipole operator and field generator
 here is built from those two; :func:`anomalous_generator` keeps its own
-hand-written g as an independent oracle.  All matrices are real and stored
-as ``float64`` except the purely imaginary :func:`commutator_matrix`.
+hand-written g as an independent oracle.  Everything is real and stored as
+``float64`` except the purely imaginary :func:`commutator_matrix`.
 
 Couplings that would reference a wavenumber outside the truncation are
 dropped, so boundary rows are missing one coupling; identities that involve
@@ -34,9 +35,11 @@ from .fields import _wrap
 
 @dataclass(frozen=True)
 class OperatorSlice:
-    """One fixed-ell slice of a linearized operator, as a dense matrix.
+    """One fixed-ell slice of a linearized operator, as its three bands.
 
-    ``wavenumbers[i]`` is the k value of row/column i.
+    ``wavenumbers[i]`` is the k value of row/column i; row i has ``diag[i]``
+    on column i, ``sub[i]`` on column i - 1 and ``sup[i]`` on column i + 1
+    (``sub[0]`` and ``sup[-1]`` lie outside the matrix).
     """
 
     ell: int
@@ -46,11 +49,18 @@ class OperatorSlice:
     t: float
     variant: str
     wavenumbers: np.ndarray
-    matrix: np.ndarray
+    diag: np.ndarray
+    sub: np.ndarray
+    sup: np.ndarray
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return len(self.diag)
+
+    @property
+    def matrix(self):
+        """The dense matrix, assembled from the bands."""
+        return _tridiagonal(self.diag, self.sub, self.sup)
 
     def params(self):
         return {
@@ -134,6 +144,15 @@ def _l_neighbours(c):
     return sm.T, sp.T
 
 
+def _tridiagonal(diag, sub, sup):
+    """Dense matrix of the bands of :class:`OperatorSlice`."""
+    mat = np.diag(diag).astype(np.result_type(diag, sub, sup), copy=False)
+    i = np.arange(1, len(diag))
+    mat[i, i - 1] = sub[1:]
+    mat[i - 1, i] = sup[:-1]
+    return mat
+
+
 def _banded(diag, couplings):
     """Dense real matrix over a lattice of modes: ``diag`` (a 1D or 2D
     array, flattened in C order) on the diagonal, and for each
@@ -172,8 +191,8 @@ def bar_slice(ell, trunc, nu, a, t=0.0, variant="full"):
     ks = np.arange(-trunc, trunc + 1)
     gm, gp = _k_neighbours(_coupling_factor(ks, ell, variant))
     band = -(ell / 2) * _amplitude(a, nu, t)
-    mat = _banded(-nu * (ks * ks + ell * ell), {-1: band * gm, +1: -band * gp})
-    return OperatorSlice(ell, trunc, nu, a, t, variant, ks, mat)
+    diag = (-nu * (ks * ks + ell * ell)).astype(float)
+    return OperatorSlice(ell, trunc, nu, a, t, variant, ks, diag, band * gm, -band * gp)
 
 
 def advection_matrix(ell, trunc, a, t=0.0, nu=0.0):
@@ -183,9 +202,8 @@ def advection_matrix(ell, trunc, a, t=0.0, nu=0.0):
     row k receives -(a ell / 2) e^{-nu t} from column k-1 and the opposite
     sign from column k+1; the matrix is real and antisymmetric.
     """
-    mat = bar_slice(ell, trunc, nu, a, t, "approximate").matrix
-    np.fill_diagonal(mat, 0.0)
-    return mat
+    op = bar_slice(ell, trunc, nu, a, t, "approximate")
+    return _tridiagonal(np.zeros(op.dim), op.sub, op.sup)
 
 
 def commutator_matrix(ell, trunc, a, t=0.0, nu=0.0):
@@ -195,22 +213,16 @@ def commutator_matrix(ell, trunc, a, t=0.0, nu=0.0):
     receives -i (a ell / 2) e^{-nu t} from both columns k +- 1.  The matrix
     is purely imaginary and the only complex one here.
     """
-    ks = np.arange(-trunc, trunc + 1)
-    return 1j * np.subtract.outer(ks, ks) * advection_matrix(ell, trunc, a, t, nu)
+    op = bar_slice(ell, trunc, nu, a, t, "approximate")
+    return 1j * _tridiagonal(np.zeros(op.dim), op.sub, -op.sup)
 
 
 def adjoint_slice(op):
-    """Conjugate transpose of a slice, tagged as the adjoint."""
-    return OperatorSlice(
-        op.ell,
-        op.trunc,
-        op.nu,
-        op.a,
-        op.t,
-        "adjoint",
-        op.wavenumbers,
-        op.matrix.conj().T.copy(),
-    )
+    """Conjugate transpose of a slice, tagged as the adjoint: its sub-band
+    is the conjugated super-band shifted down one row, and vice versa."""
+    sub, sup = _k_neighbours(op.sup.conj())[0], _k_neighbours(op.sub.conj())[1]
+    return OperatorSlice(op.ell, op.trunc, op.nu, op.a, op.t, "adjoint", op.wavenumbers,
+                         op.diag.conj(), sub, sup)
 
 
 def symmetrized_bar_slice(ell, trunc, nu, a, t=0.0):
@@ -233,13 +245,12 @@ def symmetrized_bar_slice(ell, trunc, nu, a, t=0.0):
     # mult(k) mult(k+1) is formed first, so that it is symmetric in k and
     # the slice commutes with J bit-for-bit at any amplitude
     sup = 0.5 * a * ell * _amplitude(1.0, nu, t) * (mult * _k_neighbours(mult)[1])
-    sub = -_k_neighbours(sup)[0]
-    mat = _banded(-nu * (ks * ks + ell * ell), {+1: sup, -1: sub})
+    bands = [ks, (-nu * (ks * ks + ell * ell)).astype(float), -_k_neighbours(sup)[0], sup]
     if abs(ell) == 1:
-        keep = ks != 0
-        mat = mat[np.ix_(keep, keep)]
-        ks = ks[keep]
-    return OperatorSlice(ell, trunc, nu, a, t, "symmetrized", ks, mat)
+        # every coupling to k = 0 carries mult(0) = 0, so the bands of
+        # k = -1 and k = 1 become their (zero) couplings to each other
+        bands = [b[ks != 0] for b in bands]
+    return OperatorSlice(ell, trunc, nu, a, t, "symmetrized", *bands)
 
 
 def _dipole(trunc, nu, a, t, symmetrized, couplings):
@@ -352,34 +363,34 @@ def anomalous_generator(nu, a, t, jmax, sign=+1):
     return mat
 
 
+def _apply_by_row(w, nu, slice_of):
+    """Apply ``slice_of(l)`` to each row l != 0 of a field, and -nu k^2 to
+    the purely diagonal row l = 0."""
+    ks = np.arange(-w.nx, w.nx + 1)
+    out = np.empty_like(w.coeffs)
+    for j, ell in enumerate(range(-w.ny, w.ny + 1)):
+        c = w.coeffs[:, j]
+        if ell == 0:
+            out[:, j] = -nu * (ks * ks) * c
+            continue
+        op = slice_of(ell)
+        sm, sp = _k_neighbours(c)
+        out[:, j] = op.diag * c + op.sub * sm + op.sup * sp
+    return _wrap(w.nx, w.ny, out, False)
+
+
 def apply_bar_generator(w, nu, a, t=0.0, variant="full"):
     """Apply the full two-dimensional shear linearization to a field.
 
-    Each l row evolves independently; the l = 0 row is purely diagonal.
+    Each l row evolves independently under its :func:`bar_slice`.
     """
-    ks, ls = w.wavenumbers()
-    amp = _amplitude(a, nu, t)
-    fm, fp = _k_neighbours(_coupling_factor(ks, ls, variant))
-    c = w.coeffs
-    sm, sp = _k_neighbours(c)
-    out = -nu * (ks * ks + ls * ls) * c - (ls / 2.0) * amp * (fm * sm - fp * sp)
-    return _wrap(w.nx, w.ny, out, False)
+    return _apply_by_row(w, nu, lambda ell: bar_slice(ell, w.nx, nu, a, t, variant))
 
 
 def apply_bar_adjoint(w, nu, a, t=0.0):
-    """Apply the adjoint of the full shear linearization to a field.
-
-    In coefficient form the adjoint moves the non-local factor to the
-    target mode: row (k, l) gains +(l/2) amp g(k, l)
-    [what(k-1, l) - what(k+1, l)].
-    """
-    ks, ls = w.wavenumbers()
-    amp = _amplitude(a, nu, t)
-    fk = _coupling_factor(ks, ls)
-    c = w.coeffs
-    sm, sp = _k_neighbours(c)
-    out = -nu * (ks * ks + ls * ls) * c + (ls / 2.0) * amp * fk * (sm - sp)
-    return _wrap(w.nx, w.ny, out, False)
+    """Apply the adjoint of the full shear linearization to a field, row
+    by row through :func:`adjoint_slice`."""
+    return _apply_by_row(w, nu, lambda ell: adjoint_slice(bar_slice(ell, w.nx, nu, a, t)))
 
 
 def save_matrix(op, path):

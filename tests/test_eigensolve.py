@@ -35,9 +35,9 @@ class TestComputeSpectrum:
 
     def test_nonfinite_rejected(self):
         op = bf.bar_slice(2, 3, 0.01, 1.0)
-        bad = op.matrix.copy()
-        bad[0, 0] = np.nan
-        broken = bf.OperatorSlice(2, 3, 0.01, 1.0, 0.0, "full", op.wavenumbers, bad)
+        bad = op.diag.copy()
+        bad[0] = np.nan
+        broken = bf.OperatorSlice(2, 3, 0.01, 1.0, 0.0, "full", op.wavenumbers, bad, op.sub, op.sup)
         with pytest.raises(ValueError):
             bf.compute_spectrum(broken)
 
@@ -92,7 +92,7 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("op", _slices(30), ids=_slice_id)
     def test_sector_spectrum_matches_dense_complex(self, op):
-        blocks = eigensolve._parity_sectors(op.wavenumbers, op.matrix.real)
+        blocks = eigensolve._parity_sectors(op)
         assert blocks is not None
         assert sum(b.shape[0] for b in blocks) == op.dim
         assert all(b.dtype == np.float64 for b in blocks)
@@ -103,26 +103,41 @@ class TestParitySectors:
 
     def test_parity_breaking_slice_falls_back(self):
         op = bf.bar_slice(2, 20, 1e-3, 1.0)
-        bad = op.matrix.copy()
-        bad[3, 4] += 0.25
-        broken = bf.OperatorSlice(2, 20, 1e-3, 1.0, 0.0, "full", op.wavenumbers, bad)
-        assert eigensolve._parity_sectors(broken.wavenumbers, bad.real) is None
+        bad = op.sup.copy()
+        bad[3] += 0.25
+        broken = bf.OperatorSlice(2, 20, 1e-3, 1.0, 0.0, "full", op.wavenumbers, op.diag, op.sub, bad)
+        assert eigensolve._parity_sectors(broken) is None
         got = bf.compute_spectrum(broken).eigenvalues
-        want = np.linalg.eigvals(bad)
+        want = np.linalg.eigvals(broken.matrix)
         assert len(got) == broken.dim
         assert _hausdorff(got, want) <= 1e-9 * np.abs(want).max()
 
     def test_complex_slice_falls_back(self):
         op = bf.bar_slice(2, 20, 1e-3, 1.0)
-        bad = op.matrix.astype(complex)
-        bad[5, 5] += 0.01j
-        broken = bf.OperatorSlice(2, 20, 1e-3, 1.0, 0.0, "full", op.wavenumbers, bad)
+        bad = op.diag.astype(complex)
+        bad[5] += 0.01j
+        broken = bf.OperatorSlice(2, 20, 1e-3, 1.0, 0.0, "full", op.wavenumbers, bad, op.sub, op.sup)
         got = bf.compute_spectrum(broken).eigenvalues
-        want = np.linalg.eigvals(bad)
+        want = np.linalg.eigvals(broken.matrix)
         assert len(got) == broken.dim
         assert _hausdorff(got, want) <= 1e-9 * np.abs(want).max()
         # the perturbed eigenvalue is not part of a conjugate pair
         assert not np.allclose(np.sort_complex(got), np.sort_complex(got.conj()))
+
+    @pytest.mark.parametrize("band", ["sub", "sup"])
+    def test_center_coupling_breaks_parity(self, band):
+        # sub(0) and sup(0) are the two entries the J = +1 sector folds
+        # into one; breaking J there alone must still be seen
+        op = bf.bar_slice(2, 20, 1e-3, 1.0)
+        bands = {"sub": op.sub.copy(), "sup": op.sup.copy()}
+        bands[band][op.trunc] += 0.25
+        broken = bf.OperatorSlice(2, 20, 1e-3, 1.0, 0.0, "full", op.wavenumbers, op.diag,
+                                  bands["sub"], bands["sup"])
+        assert eigensolve._parity_sectors(broken) is None
+        got = bf.compute_spectrum(broken).eigenvalues
+        want = np.linalg.eigvals(broken.matrix)
+        assert len(got) == broken.dim
+        assert _hausdorff(got, want) <= 1e-9 * np.abs(want).max()
 
     @pytest.mark.parametrize("jmax", [3, 10])
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -130,7 +145,7 @@ class TestParitySectors:
         # the independent hand-written oracle: the closed system for the
         # anomalous coordinates is the J = +1 sector of the ell = 1 slice
         op = bf.bar_slice(1, 2 * jmax + 1, 1e-3, 1.0)
-        even, _ = eigensolve._parity_sectors(op.wavenumbers, op.matrix.real)
+        even, _ = eigensolve._parity_sectors(op)
         got = np.sort_complex(np.linalg.eigvals(even))
         want = np.sort_complex(np.linalg.eigvals(bf.anomalous_generator(1e-3, 1.0, 0.0, jmax, sign)))
         assert np.abs(got - want).max() <= 1e-13
@@ -151,9 +166,6 @@ class TestLeastDecaying:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bf.least_decaying(bf.Spectrum(np.array([]), {}))
-
-    def test_symmetrized_nonpositive(self):
-        checks.check_symmetrized_stability()
 
 
 class TestNuSweep:

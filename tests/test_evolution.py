@@ -60,9 +60,6 @@ class TestEvolveLinear:
     def test_shear_row_purely_diffusive(self):
         checks.check_shear_row_diagonal_decay()
 
-    def test_fourth_order_convergence(self):
-        checks.check_fourth_order()
-
     def test_reality_preserved(self):
         checks.check_reality_preservation()
 

@@ -159,9 +159,6 @@ class TestDecayCheck:
         with pytest.raises(ValueError):
             bf.decay_check(bf.bar_state(1, 6, 2), 1e-3, 1.0, t_final=10.0, dt=0.1)
 
-    def test_enhanced_over_diffusion(self):
-        checks.check_enhanced_decay()
-
 
 class TestFunctionalDissipation:
     def test_diffusive_single_mode_rate(self):

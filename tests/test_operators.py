@@ -6,6 +6,7 @@ import pytest
 
 import barflow as bf
 from barflow import checks, operators
+from test_eigensolve import _slices
 
 # A test whose body is one ``checks.check_*`` call runs that registry
 # invariant; its cases and bounds are stated in barflow/checks.py only.
@@ -13,6 +14,10 @@ from barflow import checks, operators
 
 def row(op, k):
     return op.matrix[k + op.trunc]
+
+
+def bands(op):
+    return op.diag, op.sub, op.sup
 
 
 class TestBarSlice:
@@ -41,6 +46,12 @@ class TestBarSlice:
         for d in (-1, 0, 1):
             off -= np.abs(np.diag(np.diag(op.matrix, d), d))
         assert np.abs(off).max() == 0.0
+        # the dense matrix carries the stored bands, for every kind of slice
+        for sl in _slices(30):
+            mat = sl.matrix
+            assert np.array_equal(np.diag(mat), sl.diag)
+            assert np.array_equal(np.diag(mat, -1), sl.sub[1:])
+            assert np.array_equal(np.diag(mat, 1), sl.sup[:-1])
 
     def test_ell_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -54,19 +65,19 @@ class TestRealStorage:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: bf.bar_slice(2, 5, 0.01, 1.3, 0.7, "full").matrix,
-            lambda: bf.bar_slice(2, 5, 0.01, 1.3, 0.7, "approximate").matrix,
-            lambda: bf.bar_slice(2, 5, 0, 1.3).matrix,
-            lambda: bf.symmetrized_bar_slice(1, 5, 0.01, 1.3, 0.7).matrix,
-            lambda: bf.symmetrized_bar_slice(2, 5, 0.01, 1.3, 0.7).matrix,
-            lambda: bf.adjoint_slice(bf.bar_slice(2, 5, 0.01, 1.3, 0.7)).matrix,
-            lambda: bf.advection_matrix(2, 5, 1.3, 0.7, 0.01),
-            lambda: bf.dipole_operator(3, 0.01, 1.3, 0.7).matrix,
-            lambda: bf.symmetrized_dipole_operator(3, 0.01, 1.3, 0.7).matrix,
+            lambda: bands(bf.bar_slice(2, 5, 0.01, 1.3, 0.7, "full")),
+            lambda: bands(bf.bar_slice(2, 5, 0.01, 1.3, 0.7, "approximate")),
+            lambda: bands(bf.bar_slice(2, 5, 0, 1.3)),
+            lambda: bands(bf.symmetrized_bar_slice(1, 5, 0.01, 1.3, 0.7)),
+            lambda: bands(bf.symmetrized_bar_slice(2, 5, 0.01, 1.3, 0.7)),
+            lambda: bands(bf.adjoint_slice(bf.bar_slice(2, 5, 0.01, 1.3, 0.7))),
+            lambda: [bf.advection_matrix(2, 5, 1.3, 0.7, 0.01)],
+            lambda: [bf.dipole_operator(3, 0.01, 1.3, 0.7).matrix],
+            lambda: [bf.symmetrized_dipole_operator(3, 0.01, 1.3, 0.7).matrix],
         ],
     )
     def test_real_builders_store_float64(self, build):
-        assert build().dtype == np.float64
+        assert all(arr.dtype == np.float64 for arr in build())
 
     def test_commutator_purely_imaginary(self):
         c = bf.commutator_matrix(2, 5, 1.3, 0.7, 0.01)
@@ -226,9 +237,6 @@ class TestTwoDimensionalGenerator:
             op = bf.bar_slice(ell, 6, nu, a, t, "full")
             want = op.matrix @ w.coeffs[:, ell + 4]
             assert np.abs(lw.coeffs[:, ell + 4] - want).max() < 1e-14
-
-    def test_shear_mode_exact(self):
-        checks.check_anomalous_mode_exactness()
 
 
 class TestMatrixSerialization:
