@@ -78,7 +78,7 @@ def check_poincare():
 
 
 def check_reality_synthesis():
-    w = fields.random_field(6, 6, 3, real_valued=True)
+    w = fields.random_field(6, 6, 3)
     _, _, vals = fields.synthesize(w)
     worst = np.abs(vals.imag).max()
     _require(worst < 1e-12, f"imaginary residue {worst:.3e}")
@@ -278,7 +278,7 @@ def check_fourth_order():
 
 
 def check_reality_preservation():
-    w0 = fields.random_field(8, 8, 9, real_valued=True)
+    w0 = fields.random_field(8, 8, 9)
     cfg = evolution.IntegratorConfig(dt=0.02, t_final=2.0, sample_every=10)
     traj = evolution.evolve_linear(w0, 0.05, 1.0, "full", cfg)
     worst = max(fields.conjugate_asymmetry(f) for f in traj.fields)

@@ -6,9 +6,11 @@ version, SHA-256 digests of the outputs, the wall-clock duration, and the
 numpy/BLAS build and thread settings it ran with.
 Identical flags and seeds reproduce byte-identical CSVs.
 
-Flag values override a ``key=value`` config file (``--config``), which
-overrides the built-in defaults (ell=2, trunc=100, amp=1).  Exit codes:
-0 success, 1 check failure, 2 usage error.
+Each flag declares its own default: ell=2, amp=1 and trunc=100, except
+trunc=16 for ``evolve`` and trunc=48 for ``hypo``.  A ``key=value`` config
+file (``--config``) may set the keys ell, trunc, amp, nu and nus of the
+flags its command has; it replaces their defaults, and flags still win.
+Exit codes: 0 success, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import __version__, checks, eigensolve, evolution, fields, hypocoercivity, operators
 
-DEFAULTS = {"ell": 2, "trunc": 100, "amp": 1.0}
+CONFIG_KEYS = ("ell", "trunc", "amp", "nu", "nus")
 
 
 def _fmt(x):
@@ -81,8 +83,6 @@ def _write_manifest(prefix, command, params, outputs, started):
 
 
 def _read_config(path):
-    if path is None:
-        return {}
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -94,17 +94,6 @@ def _read_config(path):
     return out
 
 
-def _resolve(args, config, key, cast, default=None):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return cast(config[key])
-    if default is not None:
-        return default
-    return DEFAULTS.get(key)
-
-
 def _parse_nus(text):
     nus = [float(v) for v in text.split(",") if v.strip()]
     if not nus:
@@ -113,30 +102,18 @@ def _parse_nus(text):
 
 
 def cmd_spectrum(args):
-    started = time.time()
-    config = _read_config(args.config)
-    ell = _resolve(args, config, "ell", int)
-    trunc = _resolve(args, config, "trunc", int)
-    amp = _resolve(args, config, "amp", float)
-    nu = _resolve(args, config, "nu", float)
-    if nu is None:
-        raise SystemExit2("--nu is required")
+    ell, trunc, nu, amp = args.ell, args.trunc, args.nu, args.amp
     op = operators.bar_slice_for(ell, trunc, nu, amp, variant=args.variant)
     spec = eigensolve.compute_spectrum(op)
     rows = [(i + 1, lam.real, lam.imag) for i, lam in enumerate(spec.eigenvalues)]
     _write_csv(args.out, ("rank", "re", "im"), rows)
     params = {"ell": ell, "trunc": trunc, "nu": nu, "amp": amp, "variant": args.variant}
-    _write_manifest(args.out, "spectrum", params, [args.out], started)
-    return 0
+    return args.out, params, [args.out]
 
 
 def cmd_sweep(args):
-    started = time.time()
-    config = _read_config(args.config)
-    ell = _resolve(args, config, "ell", int)
-    trunc = _resolve(args, config, "trunc", int)
-    amp = _resolve(args, config, "amp", float)
-    nus = _parse_nus(args.nus if args.nus is not None else config.get("nus", ""))
+    ell, trunc, amp = args.ell, args.trunc, args.amp
+    nus = _parse_nus(args.nus)
     sweep = eigensolve.nu_sweep(ell, trunc, nus, amp, args.variant)
     rows = []
     for nu, spec in sweep:
@@ -154,17 +131,12 @@ def cmd_sweep(args):
         )
         outputs.append(fit_path)
     params = {"ell": ell, "trunc": trunc, "nus": nus, "amp": amp, "variant": args.variant}
-    _write_manifest(args.out, "sweep", params, outputs, started)
-    return 0
+    return args.out, params, outputs
 
 
 def cmd_collapse(args):
-    started = time.time()
-    config = _read_config(args.config)
-    ell = _resolve(args, config, "ell", int)
-    trunc = _resolve(args, config, "trunc", int)
-    amp = _resolve(args, config, "amp", float)
-    nus = _parse_nus(args.nus if args.nus is not None else config.get("nus", ""))
+    ell, trunc, amp = args.ell, args.trunc, args.amp
+    nus = _parse_nus(args.nus)
     rows = eigensolve.collapse_table(ell, trunc, nus, args.count, amp, args.variant)
     _write_csv(args.out, ("rank", "nu", "re_over_sqrt_nu"), rows)
     params = {
@@ -175,8 +147,7 @@ def cmd_collapse(args):
         "amp": amp,
         "variant": args.variant,
     }
-    _write_manifest(args.out, "collapse", params, [args.out], started)
-    return 0
+    return args.out, params, [args.out]
 
 
 def _initial_field(spec, trunc, seed):
@@ -197,20 +168,13 @@ def _initial_field(spec, trunc, seed):
 
 
 def cmd_evolve(args):
-    started = time.time()
-    config = _read_config(args.config)
-    trunc = _resolve(args, config, "trunc", int, default=16)
-    amp = _resolve(args, config, "amp", float)
-    nu = _resolve(args, config, "nu", float)
-    if nu is None:
-        raise SystemExit2("--nu is required")
-    w0, seed = _initial_field(args.init, trunc, args.seed if args.seed is not None else 0)
+    trunc, nu, amp = args.trunc, args.nu, args.amp
+    w0, seed = _initial_field(args.init, trunc, args.seed)
     cfg = evolution.IntegratorConfig(
         dt=args.dt,
         t_final=args.t_final,
         sample_every=args.sample_every,
         grid=args.grid,
-        dealias=not args.no_dealias,
     )
     if args.kind == "linear":
         extra = {"x_norm": hypocoercivity.x_norm_diagnostic(nu, amp)} if args.with_x_norm else None
@@ -251,23 +215,14 @@ def cmd_evolve(args):
         "sample_every": args.sample_every,
         "seed": seed,
         "grid": args.grid,
-        "dealias": not args.no_dealias,
     }
     if "flushed_parts" in traj.params:
         params["flushed_parts"] = traj.params["flushed_parts"]
-    _write_manifest(args.out_prefix, "evolve", params, outputs, started)
-    return 0
+    return args.out_prefix, params, outputs
 
 
 def cmd_hypo(args):
-    started = time.time()
-    config = _read_config(args.config)
-    ell = _resolve(args, config, "ell", int)
-    amp = _resolve(args, config, "amp", float)
-    nu = _resolve(args, config, "nu", float)
-    if nu is None:
-        raise SystemExit2("--nu is required")
-    trunc = _resolve(args, config, "trunc", int, default=48)
+    ell, trunc, nu, amp = args.ell, args.trunc, args.nu, args.amp
     auto = args.m0 == "auto"
     m0 = hypocoercivity.auto_m0(amp, ell, nu) if auto else float(args.m0)
     try:
@@ -291,8 +246,7 @@ def cmd_hypo(args):
         [(nu, amp, ell, 0.0, lam_min, m0)],
     )
 
-    rng_seed = args.seed if args.seed is not None else 0
-    w0 = fields.seeded_row_field(trunc, abs(ell), ell, rng_seed)
+    w0 = fields.seeded_row_field(trunc, abs(ell), ell, args.seed)
     fit = hypocoercivity.decay_check(w0, nu, amp, args.t_final, args.dt)
     decay_path = f"{args.out_prefix}_decay.csv"
     _write_csv(
@@ -308,12 +262,9 @@ def cmd_hypo(args):
         "trunc": trunc,
         "t_final": args.t_final,
         "dt": args.dt,
-        "seed": rng_seed,
+        "seed": args.seed,
     }
-    _write_manifest(
-        args.out_prefix, "hypo", params, [const_path, m0_path, decay_path], started
-    )
-    return 0
+    return args.out_prefix, params, [const_path, m0_path, decay_path]
 
 
 def cmd_check(args):
@@ -328,6 +279,7 @@ class SystemExit2(SystemExit):
 
 
 def build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="barflow",
         description="Spectra, scaling laws, decay checks, and simulations of "
@@ -344,10 +296,10 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="eigenvalues of one operator")
     common(p)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--trunc", type=int)
+    p.add_argument("--ell", type=int, default=2)
+    p.add_argument("--trunc", type=int, default=100)
     p.add_argument("--nu", type=float)
-    p.add_argument("--amp", type=float)
+    p.add_argument("--amp", type=float, default=1.0)
     p.add_argument(
         "--variant",
         default="full",
@@ -357,10 +309,10 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="spectra over a viscosity list + scaling fit")
     common(p)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--trunc", type=int)
-    p.add_argument("--nus", help="comma-separated viscosities")
-    p.add_argument("--amp", type=float)
+    p.add_argument("--ell", type=int, default=2)
+    p.add_argument("--trunc", type=int, default=100)
+    p.add_argument("--nus", default="", help="comma-separated viscosities")
+    p.add_argument("--amp", type=float, default=1.0)
     p.add_argument(
         "--variant", default="full", choices=("full", "approximate", "symmetrized")
     )
@@ -368,11 +320,11 @@ def build_parser():
 
     p = sub.add_parser("collapse", help="rank-collapse table Re lambda_j / sqrt(nu)")
     common(p)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--trunc", type=int)
-    p.add_argument("--nus", help="comma-separated viscosities")
+    p.add_argument("--ell", type=int, default=2)
+    p.add_argument("--trunc", type=int, default=100)
+    p.add_argument("--nus", default="", help="comma-separated viscosities")
     p.add_argument("--count", type=int, default=30)
-    p.add_argument("--amp", type=float)
+    p.add_argument("--amp", type=float, default=1.0)
     p.add_argument(
         "--variant", default="full", choices=("full", "approximate", "symmetrized")
     )
@@ -388,43 +340,62 @@ def build_parser():
     p.add_argument("--kind", default="linear", choices=("linear", "nonlinear"))
     p.add_argument("--variant", default="full", choices=("full", "approximate"))
     p.add_argument("--nu", type=float)
-    p.add_argument("--amp", type=float)
-    p.add_argument("--trunc", type=int)
+    p.add_argument("--amp", type=float, default=1.0)
+    p.add_argument("--trunc", type=int, default=16)
     p.add_argument("--t-final", type=float, required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--sample-every", type=int, default=1)
     p.add_argument("--grid", type=int, help="nonlinear transform grid (power of two)")
-    p.add_argument("--no-dealias", action="store_true")
     p.add_argument("--with-x-norm", action="store_true")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("hypo", help="constants, oscillator gap, and decay fit")
     common(p, "--out-prefix")
-    p.add_argument("--ell", type=int)
+    p.add_argument("--ell", type=int, default=2)
     p.add_argument("--nu", type=float)
-    p.add_argument("--amp", type=float)
+    p.add_argument("--amp", type=float, default=1.0)
     p.add_argument("--m0", default="auto", help="'auto' or a positive number")
-    p.add_argument("--trunc", type=int)
+    p.add_argument("--trunc", type=int, default=48)
     p.add_argument("--t-final", type=float, required=True)
     p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_hypo)
 
     p = sub.add_parser("check", help="run the full invariant suite")
     p.add_argument("--golden-dir", help="override the golden matrix directory")
     p.set_defaults(func=cmd_check)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Parse, run the command, and write its manifest.
+
+    A ``--config`` file's keys become defaults of the chosen subcommand's
+    flags and the arguments are parsed again, so argparse converts them
+    with each flag's type and flags still win.  A command returns its exit
+    code (``check``) or the manifest's prefix, params and output paths.
+    """
+    started = time.time()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except SystemExit:
-        raise
+        if getattr(args, "config", None) is not None:
+            config = _read_config(args.config)
+            flags = vars(args)
+            commands[args.command].set_defaults(
+                **{k: v for k, v in config.items() if k in CONFIG_KEYS and k in flags}
+            )
+            args = parser.parse_args(argv)
+        if "nu" in vars(args) and args.nu is None:
+            raise SystemExit2("--nu is required")
+        run = args.func(args)
+        if isinstance(run, int):
+            return run
+        prefix, params, outputs = run
+        _write_manifest(prefix, args.command, params, outputs, started)
+        return 0
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -44,30 +44,20 @@ class ScalingFit:
     max_residual: float
 
 
-def _sort(vals, tie_tol=1e-9):
+def _sort(vals):
     """Descending real part; within real-part ties, ascending imaginary part.
 
-    Ties are detected up to ``tie_tol`` times the real-part scale, so
-    conjugate pairs (whose computed real parts differ only by rounding)
-    order deterministically across runs and truncations.
+    Neighbours under the descending real order tie when their real parts
+    differ by at most 1e-9 times the real-part scale, so conjugate
+    pairs (whose computed real parts differ only by rounding) order
+    deterministically across runs and truncations.
     """
-    order = np.lexsort((vals.imag, -vals.real))
-    v = vals[order]
-    n = len(v)
-    if n == 0:
+    v = vals[np.lexsort((vals.imag, -vals.real))]
+    if len(v) == 0:
         return v
     scale = max(1.0, float(np.abs(v.real).max()))
-    out = v.copy()
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and abs(v[j].real - v[j - 1].real) <= tie_tol * scale:
-            j += 1
-        if j - i > 1:
-            seg = v[i:j]
-            out[i:j] = seg[np.argsort(seg.imag, kind="stable")]
-        i = j
-    return out
+    segment = np.r_[0, np.cumsum(np.abs(np.diff(v.real)) > 1e-9 * scale)]
+    return v[np.lexsort((v.imag, segment))]
 
 
 def _check_finite(op):

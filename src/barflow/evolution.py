@@ -39,16 +39,14 @@ FLUSH_BELOW = 1e-290
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Timestep, final time, snapshot cadence, and nonlinear options.
-
-    ``grid`` is the transform grid for the pseudo-spectral solver (power of
-    two); ``dealias`` applies the 2/3-rule mask to quadratic products.
+    """Timestep, final time, snapshot cadence, and the transform grid of
+    the pseudo-spectral solver (a power of two; ``None`` picks the smallest
+    one :func:`evolve_nonlinear` accepts).
     """
 
     dt: float
     t_final: float
     sample_every: int = 1
-    dealias: bool = True
     grid: int | None = None
 
     def __post_init__(self):
@@ -184,7 +182,7 @@ def _if_rk4(state, e_half, dt, n_steps, rhs_into, record):
         record(n + 1, state)
 
 
-def evolve_linear(w0, nu, a, variant="full", config=None, extra_diagnostics=None):
+def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     """Integrate d/dt what = L(t) what for the shear linearization.
 
     The diffusion is applied exactly through the integrating factor; the
@@ -198,8 +196,6 @@ def evolve_linear(w0, nu, a, variant="full", config=None, extra_diagnostics=None
     are flushed to zero every ``FLUSH_EVERY`` steps (module comment); the
     number of nonzero parts flushed is ``params["flushed_parts"]``.
     """
-    if config is None:
-        raise ValueError("an IntegratorConfig is required")
     nx, ny = w0.nx, w0.ny
     dt = config.dt
     n_steps = config.n_steps
@@ -276,22 +272,26 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
     """Pseudo-spectral integration of the vorticity equation.
 
     The velocity comes from the Biot-Savart multipliers, the advection
-    u . grad w is formed pointwise on the transform grid, and (with
-    ``dealias``) the 2/3-rule mask kills aliased products.  The mean stays
-    exactly zero.  Requires a reality-flagged initial field and a
-    power-of-two grid of at least 4/3 of the largest initial wavenumber.
+    u . grad w is formed pointwise on the transform grid, and the 2/3-rule
+    mask, which keeps |k|, |l| <= (m - 1) // 3 on a grid of m points, kills
+    aliased products.  The mean stays exactly zero.  Requires a
+    reality-flagged initial field and a power-of-two grid with
+    m >= 3 kmax0 + 1, kmax0 the largest initial wavenumber, so that the mask
+    keeps every initial mode.
     """
     if not w0.real_valued:
         raise ValueError("nonlinear evolution requires a reality-flagged field")
     kmax0 = max(w0.nx, w0.ny)
     m = config.grid
     if m is None:
-        m = 1 << max(4, (3 * kmax0 + 1 - 1).bit_length())
+        m = 1 << max(4, (3 * kmax0).bit_length())
     if m & (m - 1) != 0:
         raise ValueError("transform grid must be a power of two")
-    if config.dealias and m < math.ceil(4 * kmax0 / 3):
+    cut = (m - 1) // 3
+    if cut < kmax0:
         raise ValueError(
-            f"grid {m} too small for max wavenumber {kmax0} with dealiasing"
+            f"grid {m} too small for max wavenumber {kmax0}: the 2/3 mask keeps "
+            f"|k| <= {cut}, so the grid needs m >= {3 * kmax0 + 1}"
         )
 
     dt = config.dt
@@ -302,14 +302,8 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
     k2 = kx * kx + ky * ky
     k2_safe = k2.copy()
     k2_safe[0, 0] = 1.0
-    if config.dealias:
-        cut = (m - 1) // 3
-        keep = (np.abs(kk) <= cut)
-        mask = keep[:, None] & keep[None, :]
-        trunc_out = cut
-    else:
-        mask = np.ones((m, m), dtype=bool)
-        trunc_out = m // 2 - 1
+    keep = np.abs(kk) <= cut
+    mask = keep[:, None] & keep[None, :]
     e_half = np.exp(-nu * k2 * (dt / 2))
     scale = m * m  # our coefficients are amplitudes, numpy ffts are unnormalized
 
@@ -341,10 +335,10 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
             RuntimeWarning,
         )
 
-    rec = _Recorder(trunc_out, trunc_out, True, config.sample_every, extra_diagnostics)
+    rec = _Recorder(cut, cut, True, config.sample_every, extra_diagnostics)
 
     def record(step, w):
-        rec.record(step, step * dt, extract_fft(w, trunc_out).coeffs)
+        rec.record(step, step * dt, extract_fft(w, cut).coeffs)
 
     _if_rk4(state, e_half, dt, n_steps, rhs_into, record)
     return rec.finish(
@@ -352,7 +346,6 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
             "kind": "nonlinear",
             "nu": nu,
             "grid": m,
-            "dealias": config.dealias,
             "dt": dt,
             "t_final": n_steps * dt,
         }
@@ -405,14 +398,11 @@ def enstrophy_balance_residual(traj):
     h = t[1] - t[0]
     if not np.allclose(np.diff(t), h, rtol=1e-9, atol=1e-12):
         raise ValueError("centered differences need uniform sampling")
-    worst = 0.0
-    for i in range(1, len(t) - 1):
-        dzdt_half = (z[i + 1] - z[i - 1]) / (4 * h)
-        denom = nu * g[i]
-        if denom == 0.0:
-            continue  # zero field: identity holds trivially
-        worst = max(worst, abs(dzdt_half + denom) / denom)
-    return worst
+    dzdt_half = (z[2:] - z[:-2]) / (4 * h)
+    denom = nu * g[1:-1]
+    nonzero = denom != 0.0  # zero field: identity holds trivially
+    defect = np.abs(dzdt_half[nonzero] + denom[nonzero]) / denom[nonzero]
+    return float(defect.max(initial=0.0))
 
 
 def diffusion_rate(w0, nu):

@@ -129,8 +129,9 @@ def conjugate_asymmetry(field):
     return conjugate_asymmetry_raw(field.coeffs)
 
 
-def zero_field(nx, ny, real_valued=True):
-    return SpectralField(nx, ny, real_valued=real_valued)
+def zero_field(nx, ny):
+    """The zero field, flagged real-valued."""
+    return SpectralField(nx, ny, real_valued=True)
 
 
 def mode_field(nx, ny, entries, real_valued=False):
@@ -370,30 +371,29 @@ def synthesize(w, grid_x=None, grid_y=None):
     return x, y, vals
 
 
-def random_field(nx, ny, seed, decay=0.1, real_valued=True):
-    """Seeded random smooth field: complex Gaussian coefficients damped by
-    exp(-decay (k^2 + l^2)), conjugate-symmetrized, zero mean."""
+def random_field(nx, ny, seed, decay=0.1):
+    """Seeded random smooth real-valued field: complex Gaussian coefficients
+    damped by exp(-decay (k^2 + l^2)), conjugate-symmetrized, zero mean."""
     rng = np.random.default_rng(seed)
     shape = (2 * nx + 1, 2 * ny + 1)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ks = np.arange(-nx, nx + 1)[:, None]
     ls = np.arange(-ny, ny + 1)[None, :]
     g *= np.exp(-decay * (ks * ks + ls * ls))
-    if real_valued:
-        g = (g + np.conj(g[::-1, ::-1])) / 2
+    g = (g + np.conj(g[::-1, ::-1])) / 2
     g[nx, ny] = 0.0
-    return SpectralField(nx, ny, g, real_valued=real_valued, copy=False)
+    return SpectralField(nx, ny, g, real_valued=True, copy=False)
 
 
-def seeded_row_field(nx, ny, ell, seed, decay=0.05):
+def seeded_row_field(nx, ny, ell, seed):
     """Seeded field supported on the single row l = ``ell``: complex
-    Gaussian coefficients damped by exp(-decay k^2)."""
+    Gaussian coefficients damped by exp(-0.05 k^2)."""
     rng = np.random.default_rng(seed)
     c = np.zeros((2 * nx + 1, 2 * ny + 1), dtype=complex)
     ks = np.arange(-nx, nx + 1)
     c[:, ell + ny] = (
         rng.standard_normal(2 * nx + 1) + 1j * rng.standard_normal(2 * nx + 1)
-    ) * np.exp(-decay * ks * ks)
+    ) * np.exp(-0.05 * ks * ks)
     return SpectralField(nx, ny, c, copy=False)
 
 

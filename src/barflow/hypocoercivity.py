@@ -158,17 +158,17 @@ def functional_sample(row, constants, t):
     return FunctionalSample(t, phi, l2_sq, dx_sq, cross, c_sq)
 
 
-def x_norm_sq(field, nu, a, t=0.0, zero_row_tol=1e-10):
+def x_norm_sq(field, nu, a, t=0.0):
     """Squared mixed norm of a field whose l = 0 row vanishes.
 
-    Rejects fields with l = 0 content above ``zero_row_tol`` times the
-    coefficient norm.
+    Rejects fields with l = 0 content above 1e-10 times the coefficient
+    norm.
     """
     c = field.coeffs
     nx, ny = field.nx, field.ny
     scale = float(np.sqrt(np.sum(np.abs(c) ** 2)))
     row0 = float(np.abs(c[:, ny]).max())
-    if row0 > zero_row_tol * max(scale, 1e-300):
+    if row0 > 1e-10 * max(scale, 1e-300):
         raise ValueError(
             f"l = 0 content {row0:.3e} exceeds tolerance for the mixed norm"
         )
@@ -260,9 +260,9 @@ def _cosine_well_min_eig(beta0, nu, a, ell, t=0.0, n_modes=128):
     return oscillator_min_eig(0.125, c_pot, n_modes)
 
 
-def auto_m0(a, ell, nu, t=0.0, n_modes=128, rtol=1e-9, max_iterations=50):
-    """Self-consistent m0: iterate beta0(m0) -> estimate_m0(beta0) to a
-    fixed point.
+def auto_m0(a, ell, nu):
+    """Self-consistent m0 at t = 0: iterate beta0(m0) -> estimate_m0(beta0)
+    to a fixed point, to relative tolerance 1e-9 within 50 rounds.
 
     The oscillator estimate is nearly independent of beta0 in the
     deep-well regime (the gap scales as the square root of the potential
@@ -270,12 +270,12 @@ def auto_m0(a, ell, nu, t=0.0, n_modes=128, rtol=1e-9, max_iterations=50):
     strongly and settles in a few rounds.
     """
     m0 = 1.0
-    for _ in range(max_iterations):
+    for _ in range(50):
         beta0 = hypo_constants(m0, a, ell, nu).beta0
-        new = estimate_m0(beta0, nu, a, ell, t, n_modes)
+        new = estimate_m0(beta0, nu, a, ell)
         if new <= 0:
             return 0.0
-        if abs(new - m0) <= rtol * m0:
+        if abs(new - m0) <= 1e-9 * m0:
             return new
         m0 = new
     raise RuntimeError("oscillator constant iteration did not settle")
@@ -293,13 +293,14 @@ class EnhancedDecayFit:
     n_samples: int
 
 
-def decay_check(w0, nu, a, t_final, dt, floor=1e-30, skip_fraction=0.05):
+def decay_check(w0, nu, a, t_final, dt):
     """Measure the mixed-norm decay of the approximate evolution from w0.
 
     w0 must be free of anomalous content.  The squared norm is fitted as
-    amplitude * exp(-rate t) over [skip_fraction * T, T], dropping samples
-    below ``floor`` (underflow truncates the window).  Returns the fit with
-    m = rate / sqrt(nu) and k = amplitude / x_norm_sq(w0).  The fit reads
+    amplitude * exp(-rate t) from t = 0.05 T on, up to the last sample
+    with squared norm at least 1e-30 (underflow truncates the window).
+    Returns the fit with m = rate / sqrt(nu) and
+    k = amplitude / x_norm_sq(w0).  The fit reads
     only the per-step diagnostics, so only the endpoint snapshots are kept.
     """
     ok, viol = is_anomalous_free(w0, tol=1e-8)
@@ -313,7 +314,7 @@ def decay_check(w0, nu, a, t_final, dt, floor=1e-30, skip_fraction=0.05):
     )
     xs = traj.diagnostics["x_norm"]
     t = traj.times
-    sel = (t >= skip_fraction * t_final) & (xs * xs >= floor)
+    sel = (t >= 0.05 * t_final) & (xs * xs >= 1e-30)
     if sel.sum() < 3:
         raise ValueError("fewer than 3 usable samples above the underflow floor")
     hi = float(t[sel].max())
@@ -340,13 +341,13 @@ class DissipationReport:
     ratios: np.ndarray
 
 
-def functional_dissipation(traj, constants, floor=1e-280):
+def functional_dissipation(traj, constants):
     """Ratios (dPhi/dt) / Phi at interior snapshot times of one ell-row.
 
     The row ell = constants.ell is read off the stored snapshots, so the
-    trajectory must keep every step (sample_every = 1).  Samples after Phi
-    falls below ``floor`` are discarded; an all-zero row yields an empty
-    report.
+    trajectory must keep every step (sample_every = 1).  Samples from the
+    first Phi below 1e-280 on are discarded; an all-zero row yields
+    an empty report.
     """
     if len(traj.fields) != len(traj.times):
         raise ValueError("dissipation check needs snapshots at every step")
@@ -359,7 +360,7 @@ def functional_dissipation(traj, constants, floor=1e-280):
     if np.all(phis == 0):
         return DissipationReport(math.nan, math.nan, 0, np.array([]), np.array([]))
     cut = len(phis)
-    below = np.nonzero(phis < floor)[0]
+    below = np.nonzero(phis < 1e-280)[0]
     if len(below):
         cut = int(below[0])
     if cut < 3:

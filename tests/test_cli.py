@@ -15,6 +15,18 @@ from barflow.checks import ALL_CHECKS, GOLDEN_DIR
 from barflow.cli import main
 
 
+def exit_code(argv):
+    """The exit status of ``main(argv)``, whether returned or raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def read_manifest(prefix):
+    return json.loads(Path(f"{prefix}.manifest.json").read_text())
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -147,6 +159,26 @@ class TestEvolveCommand:
         assert env["numpy"] == np.__version__
         assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
+    def test_with_x_norm_matches_snapshots(self, tmp_path):
+        prefix = str(tmp_path / "xn")
+        assert main(["evolve", "--init", "random-fast:3", "--kind", "linear",
+                     "--nu", "0.01", "--amp", "1.5", "--trunc", "6", "--t-final", "1.0",
+                     "--dt", "0.1", "--sample-every", "5", "--with-x-norm",
+                     "--out-prefix", prefix]) == 0
+        _, rows = read_csv(prefix + "_diagnostics.csv")
+        x_norm = {float(r[0]): float(r[2]) for r in rows}
+        snapshots = sorted(tmp_path.glob("xn_field_*.csv"))
+        assert len(snapshots) == 3
+        for path, t in zip(snapshots, (0.0, 0.5, 1.0)):
+            want = math.sqrt(bf.x_norm_sq(bf.load_field(path), 0.01, 1.5, t))
+            assert x_norm[t] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_with_x_norm_rejects_shear_row(self, tmp_path):
+        assert exit_code(["evolve", "--init", "barmode:1", "--kind", "linear",
+                          "--nu", "0.01", "--trunc", "4", "--t-final", "0.2",
+                          "--dt", "0.1", "--with-x-norm",
+                          "--out-prefix", str(tmp_path / "bad")]) == 2
+
     def test_determinism_with_seed(self, tmp_path):
         pa = str(tmp_path / "a")
         pb = str(tmp_path / "b")
@@ -251,3 +283,59 @@ class TestConfigPrecedence:
         assert main(["spectrum", "--nu", "0.001", "--trunc", "6", "--out", out]) == 0
         _, rows = read_csv(out)
         assert len(rows) == 13  # ell defaults to 2
+
+    def test_sweep_and_collapse_take_nus_from_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trunc=6\nnus=0.004,0.002,0.001\n")
+        sweep = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--config", str(cfg), "--out", sweep]) == 0
+        assert read_manifest(sweep)["params"]["nus"] == [0.004, 0.002, 0.001]
+        assert (tmp_path / "sweep_fit.csv").exists()
+        collapse = str(tmp_path / "collapse.csv")
+        assert main(["collapse", "--config", str(cfg), "--count", "2", "--out", collapse]) == 0
+        params = read_manifest(collapse)["params"]
+        assert (params["nus"], params["trunc"]) == ([0.004, 0.002, 0.001], 6)
+        _, rows = read_csv(collapse)
+        assert len(rows) == 6
+
+    @pytest.mark.parametrize("command, trunc", [("evolve", 16), ("hypo", 48)])
+    def test_trunc_fallback_and_config_override(self, tmp_path, command, trunc):
+        args = {
+            "evolve": ["evolve", "--init", "zero", "--t-final", "0.2", "--dt", "0.1"],
+            "hypo": ["hypo", "--t-final", "1", "--dt", "0.25"],
+        }[command]
+        fallback = str(tmp_path / "fallback")
+        assert main([*args, "--nu", "0.001", "--out-prefix", fallback]) == 0
+        assert read_manifest(fallback)["params"]["trunc"] == trunc
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trunc=8\nnu=0.001\n")
+        configured = str(tmp_path / "configured")
+        assert main([*args, "--config", str(cfg), "--out-prefix", configured]) == 0
+        params = read_manifest(configured)["params"]
+        assert (params["trunc"], params["nu"]) == (8, 0.001)
+
+    def test_flag_nu_wins_over_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nu=0.5\ntrunc=4\n")
+        out = str(tmp_path / "s.csv")
+        assert main(["spectrum", "--config", str(cfg), "--nu", "0.01", "--out", out]) == 0
+        assert read_manifest(out)["params"]["nu"] == 0.01
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--trunc", "4", "--out", "x.csv"],
+        ["evolve", "--init", "zero", "--t-final", "0.2", "--dt", "0.1", "--out-prefix", "x"],
+        ["hypo", "--t-final", "1", "--dt", "0.25", "--out-prefix", "x"],
+    ], ids=["spectrum", "evolve", "hypo"])
+    def test_missing_nu_exits_two(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trunc=4\n")
+        assert exit_code(command) == 2
+        assert exit_code([*command, "--config", str(cfg)]) == 2
+        assert not list(tmp_path.glob("x*"))
+
+    def test_missing_config_file_exits_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.cfg")
+        assert exit_code(["spectrum", "--config", missing, "--nu", "0.01",
+                          "--out", str(tmp_path / "s.csv")]) == 2
+        assert "absent.cfg" in capsys.readouterr().err

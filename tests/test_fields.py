@@ -189,7 +189,7 @@ class TestSynthesis:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        w = bf.random_field(5, 7, 2, real_valued=True)
+        w = bf.random_field(5, 7, 2)
         path = tmp_path / "field.csv"
         bf.save_field(w, path)
         back = bf.load_field(path)

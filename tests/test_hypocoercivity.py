@@ -188,9 +188,6 @@ class TestFunctionalDissipation:
         with pytest.raises(ValueError):
             bf.functional_dissipation(traj, cst)
 
-    def test_strictly_negative_along_trajectory(self):
-        checks.check_dissipation_negative()
-
 
 class TestDiagnosticsIntegration:
     def test_x_norm_diagnostic_matches_direct(self):
