@@ -10,6 +10,8 @@ Each flag declares its own default: ell=2, amp=1 and trunc=100, except
 trunc=16 for ``evolve`` and trunc=48 for ``hypo``.  A ``key=value`` config
 file (``--config``) may set the keys ell, trunc, amp, nu and nus of the
 flags its command has; it replaces their defaults, and flags still win.
+Any other key is a usage error; a known key the command has no flag for
+is ignored.
 Exit codes: 0 success, 1 check failure, 2 usage error.
 """
 
@@ -169,6 +171,8 @@ def _initial_field(spec, trunc, seed):
 
 def cmd_evolve(args):
     trunc, nu, amp = args.trunc, args.nu, args.amp
+    if args.with_x_norm and args.kind == "nonlinear":
+        raise SystemExit2("--with-x-norm applies to --kind linear only")
     w0, seed = _initial_field(args.init, trunc, args.seed)
     cfg = evolution.IntegratorConfig(
         dt=args.dt,
@@ -206,18 +210,17 @@ def cmd_evolve(args):
     params = {
         "init": args.init,
         "kind": args.kind,
-        "variant": args.variant,
         "nu": nu,
-        "amp": amp,
         "trunc": trunc,
         "dt": args.dt,
         "t_final": args.t_final,
         "sample_every": args.sample_every,
         "seed": seed,
-        "grid": args.grid,
     }
-    if "flushed_parts" in traj.params:
-        params["flushed_parts"] = traj.params["flushed_parts"]
+    if args.kind == "linear":
+        params.update(variant=args.variant, amp=amp, flushed_parts=traj.params["flushed_parts"])
+    else:
+        params.update(grid=traj.params["grid"], max_cfl=traj.params["max_cfl"])
     return args.out_prefix, params, outputs
 
 
@@ -383,6 +386,9 @@ def main(argv=None):
     try:
         if getattr(args, "config", None) is not None:
             config = _read_config(args.config)
+            unknown = sorted(set(config) - set(CONFIG_KEYS))
+            if unknown:
+                raise SystemExit2(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
             flags = vars(args)
             commands[args.command].set_defaults(
                 **{k: v for k, v in config.items() if k in CONFIG_KEYS and k in flags}

@@ -7,6 +7,12 @@ gets classical RK4 on the transformed variable.  The linear generator is
 nonautonomous through the shear amplitude a e^{-nu t}, evaluated at the
 RK stage times so the scheme keeps its fourth order.
 
+The pseudo-spectral solver keeps its state on the real half-spectrum
+(numpy's ``rfft2`` layout), so each right-hand side costs one batched
+``irfft2`` and one ``rfft2``, and it checks the CFL number of every step
+from the velocity its first stage forms; the largest is
+``params["max_cfl"]``.
+
 Trajectories record scalar diagnostics at every step and full field
 snapshots every ``sample_every`` steps (snapshots bound the memory; the
 diagnostics stored at snapshot times are re-derivable from the snapshots).
@@ -244,28 +250,49 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     )
 
 
-def _fft_wavenumbers(m):
-    return (np.fft.fftfreq(m) * m).astype(int)
+def _half_wavenumbers(m):
+    """The wavenumbers of the m x (m//2 + 1) ``rfft2`` layout: k in FFT
+    order as a column and l = 0..m//2 as a row, both float."""
+    return (np.fft.fftfreq(m) * m)[:, None], np.arange(m // 2 + 1, dtype=float)[None, :]
 
 
-def embed_fft(field, m):
-    """Place truncated coefficients on an m x m FFT-layout lattice."""
-    if 2 * field.nx + 1 > m or 2 * field.ny + 1 > m:
-        raise ValueError("transform grid smaller than the stored truncation")
-    out = np.zeros((m, m), dtype=complex)
-    ks = np.arange(-field.nx, field.nx + 1)
-    ls = np.arange(-field.ny, field.ny + 1)
-    out[np.ix_(ks % m, ls % m)] = field.coeffs
-    return out
+def _half_spectrum_advection(m):
+    """The dealiased advection term on the real half-spectrum of an m-point grid.
 
+    A real field is stored on numpy's ``rfft2`` layout: the m x (m//2 + 1)
+    coefficients w(k, l), l = 0..m//2, with k in FFT order; the columns
+    l < 0 are the conjugates w(-k, -l).  Returns ``advect_into``, where
+    ``advect_into(w, out)`` writes -N(w) into ``out``, N the transform of
+    u . grad w with the 2/3-rule mask |k|, |l| <= (m - 1) // 3 and a zero
+    mean, and returns the (4, m, m) grid values whose planes 0 and 1 are
+    the velocity u1, u2 of ``w``.
+    """
+    kx, ky = _half_wavenumbers(m)
+    k2_safe = kx * kx + ky * ky
+    k2_safe[0, 0] = 1.0
+    scale = m * m  # our coefficients are amplitudes, numpy ffts are unnormalized
+    # Biot-Savart u1, u2 and the gradient wx, wy, each scaled by m^2
+    mult = np.stack(np.broadcast_arrays(
+        1j * ky / k2_safe, -1j * kx / k2_safe, 1j * kx, 1j * ky
+    )) * scale
+    cut = (m - 1) // 3
+    mask = (np.abs(kx) <= cut) & (ky <= cut)
+    neg_mask = mask * (-1.0 / scale)
+    spec = np.empty(mult.shape, dtype=complex)
 
-def extract_fft(state, trunc):
-    """Read the |k|,|l| <= trunc block of an FFT-layout lattice."""
-    m = state.shape[0]
-    ks = np.arange(-trunc, trunc + 1)
-    coeffs = state[np.ix_(ks % m, ks % m)].copy()
-    coeffs[trunc, trunc] = 0.0
-    return _wrap(trunc, trunc, coeffs, True)
+    def advect_into(w, out):
+        np.multiply(mult, w, out=spec)
+        # numpy 2.4 irfft2 ignores out=, so the grid is its return value
+        grid = np.fft.irfft2(spec, s=(m, m))
+        grid[2] *= grid[0]
+        grid[3] *= grid[1]
+        grid[2] += grid[3]
+        np.fft.rfft2(grid[2], out=out)
+        out *= neg_mask
+        out[0, 0] = 0.0
+        return grid
+
+    return advect_into
 
 
 def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
@@ -278,6 +305,13 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
     reality-flagged initial field and a power-of-two grid with
     m >= 3 kmax0 + 1, kmax0 the largest initial wavenumber, so that the mask
     keeps every initial mode.
+
+    The state is stored on the real half-spectrum (the ``rfft2`` layout of
+    :func:`_half_spectrum_advection`), so each right-hand side costs one
+    batched ``irfft2`` and one ``rfft2``.  Every step's CFL number
+    max|u| dt / dx is taken from the velocity at its start; the first step
+    over 1 raises a ``RuntimeWarning`` and ``params["max_cfl"]`` is the
+    largest over the run.
     """
     if not w0.real_valued:
         raise ValueError("nonlinear evolution requires a reality-flagged field")
@@ -296,49 +330,44 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
 
     dt = config.dt
     n_steps = config.n_steps
-    kk = _fft_wavenumbers(m)
-    kx = kk[:, None].astype(float)
-    ky = kk[None, :].astype(float)
-    k2 = kx * kx + ky * ky
-    k2_safe = k2.copy()
-    k2_safe[0, 0] = 1.0
-    keep = np.abs(kk) <= cut
-    mask = keep[:, None] & keep[None, :]
-    e_half = np.exp(-nu * k2 * (dt / 2))
-    scale = m * m  # our coefficients are amplitudes, numpy ffts are unnormalized
+    h = m // 2 + 1
+    kx, ky = _half_wavenumbers(m)
+    e_half = np.exp(-nu * (kx * kx + ky * ky) * (dt / 2))
+    advect_into = _half_spectrum_advection(m)
 
-    def velocity(w):
-        u1 = np.fft.ifft2(1j * ky * w / k2_safe).real * scale
-        u2 = np.fft.ifft2(-1j * kx * w / k2_safe).real * scale
-        return u1, u2
-
-    def rhs_into(w, t, out, scratch):
-        # out = -N(w), N the dealiased transform of u . grad w
-        u1, u2 = velocity(w)
-        wx = np.fft.ifft2(1j * kx * w).real * scale
-        wy = np.fft.ifft2(1j * ky * w).real * scale
-        np.divide(np.fft.fft2(u1 * wx + u2 * wy), scale, out=out)
-        out *= mask
-        out[0, 0] = 0.0
-        np.negative(out, out=out)
-
-    state = embed_fft(w0, m)
-    state *= mask
+    state = np.zeros((m, h), dtype=complex)
+    state[np.arange(-w0.nx, w0.nx + 1) % m, : w0.ny + 1] = w0.coeffs[:, w0.ny:]
     state[0, 0] = 0.0
 
-    # one-shot CFL heuristic on the initial data
-    speed = max(np.abs(u).max() for u in velocity(state))
     dx = 2 * math.pi / m
-    if speed * dt / dx > 1.0:
-        warnings.warn(
-            f"advective CFL heuristic exceeded: u_max dt / dx = {speed * dt / dx:.3g}",
-            RuntimeWarning,
-        )
+    max_cfl = 0.0
+    warned = False
 
+    def rhs_into(w, t, out, scratch):
+        nonlocal max_cfl, warned
+        grid = advect_into(w, out)
+        if w is state:  # the first stage: the velocity at the step's start
+            cfl = float(np.abs(grid[:2]).max()) * dt / dx
+            max_cfl = max(max_cfl, cfl)
+            if cfl > 1.0 and not warned:
+                warned = True
+                warnings.warn(
+                    f"advective CFL number u_max dt / dx = {cfl:.3g} exceeds 1 on "
+                    f"step {round(t / dt) + 1} of {n_steps}, from t = {t:.6g}",
+                    RuntimeWarning,
+                )
+
+    # the |k|, |l| <= cut block, read from the half-spectrum in one gather;
+    # the columns l < 0 are conjugated after it
+    ks = np.arange(-cut, cut + 1)
+    index = np.where(ks[None, :] < 0, -ks[:, None], ks[:, None]) % m * h + np.abs(ks)[None, :]
+    block = np.empty(index.shape, dtype=complex)
     rec = _Recorder(cut, cut, True, config.sample_every, extra_diagnostics)
 
     def record(step, w):
-        rec.record(step, step * dt, extract_fft(w, cut).coeffs)
+        np.take(w.ravel(), index, out=block)
+        np.conjugate(block[:, :cut], out=block[:, :cut])
+        rec.record(step, step * dt, block)
 
     _if_rk4(state, e_half, dt, n_steps, rhs_into, record)
     return rec.finish(
@@ -348,6 +377,7 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
             "grid": m,
             "dt": dt,
             "t_final": n_steps * dt,
+            "max_cfl": max_cfl,
         }
     )
 

@@ -179,6 +179,26 @@ class TestEvolveCommand:
                           "--dt", "0.1", "--with-x-norm",
                           "--out-prefix", str(tmp_path / "bad")]) == 2
 
+    def test_nonlinear_manifest_records_the_run(self, tmp_path):
+        # --amp is accepted and unused; the grid is the one picked automatically
+        prefix = str(tmp_path / "nl")
+        assert main(["evolve", "--init", "barmode:1", "--kind", "nonlinear", "--amp", "7",
+                     "--nu", "0.01", "--trunc", "4", "--t-final", "0.02", "--dt", "0.01",
+                     "--out-prefix", prefix]) == 0
+        params = read_manifest(prefix)["params"]
+        assert params["grid"] == 16
+        assert 0.0 < params["max_cfl"] < 1.0
+        assert "amp" not in params and "variant" not in params
+        header, _ = read_csv(prefix + "_diagnostics.csv")
+        assert "max_cfl" not in header
+
+    def test_nonlinear_rejects_with_x_norm(self, tmp_path):
+        assert exit_code(["evolve", "--init", "barmode:1", "--kind", "nonlinear",
+                          "--nu", "0.01", "--trunc", "4", "--t-final", "0.02",
+                          "--dt", "0.01", "--with-x-norm",
+                          "--out-prefix", str(tmp_path / "bad")]) == 2
+        assert not list(tmp_path.glob("bad*"))
+
     def test_determinism_with_seed(self, tmp_path):
         pa = str(tmp_path / "a")
         pb = str(tmp_path / "b")
@@ -333,6 +353,17 @@ class TestConfigPrecedence:
         assert exit_code(command) == 2
         assert exit_code([*command, "--config", str(cfg)]) == 2
         assert not list(tmp_path.glob("x*"))
+
+    def test_misspelt_config_key_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trnc=4\nnu=0.01\n")
+        out = tmp_path / "s.csv"
+        assert exit_code(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "trnc" in capsys.readouterr().err
+        assert not out.exists()
+        # a known key the command has no flag for is still ignored
+        cfg.write_text("trunc=4\nnu=0.01\nnus=0.1\n")
+        assert exit_code(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
 
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.cfg")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,27 @@ class TestSubnormalFlush:
         assert np.array_equal(got[::-1, ::-1], np.conj(got))
 
 
+def five_transform_rhs(w):
+    """-N(w) and the velocity u1, u2 on the full m x m FFT lattice with five
+    complex transforms: the dealiased advection term written apart from
+    the package's half-spectrum version."""
+    m = w.shape[0]
+    kk = np.fft.fftfreq(m) * m
+    kx, ky = kk[:, None], kk[None, :]
+    k2 = kx * kx + ky * ky
+    k2[0, 0] = 1.0
+    keep = np.abs(kk) <= (m - 1) // 3
+
+    def grid(mult):
+        return np.fft.ifft2(mult * w).real * m * m
+
+    u1, u2 = grid(1j * ky / k2), grid(-1j * kx / k2)
+    out = -np.fft.fft2(u1 * grid(1j * kx) + u2 * grid(1j * ky)) / (m * m)
+    out *= keep[:, None] & keep[None, :]
+    out[0, 0] = 0.0
+    return out, u1, u2
+
+
 class TestEvolveNonlinear:
     def test_zero_stays_zero(self):
         cfg = bf.IntegratorConfig(dt=1e-2, t_final=0.1, sample_every=10, grid=16)
@@ -164,6 +186,36 @@ class TestEvolveNonlinear:
         cfg = bf.IntegratorConfig(dt=0.5, t_final=0.5, grid=64)
         with pytest.warns(RuntimeWarning):
             bf.evolve_nonlinear(w0, 0.01, cfg)
+
+    def test_cfl_checked_at_every_step(self):
+        # the inviscid flow speeds up: CFL 0.87 on the first step, over 1 later
+        w0 = bf.random_field(6, 6, 0, decay=0.15)
+        first = bf.evolve_nonlinear(w0, 0.0, bf.IntegratorConfig(dt=0.05, t_final=0.05, grid=32))
+        assert 0.8 < first.params["max_cfl"] < 1.0
+        cfg = bf.IntegratorConfig(dt=0.05, t_final=1.0, sample_every=20, grid=32)
+        with pytest.warns(RuntimeWarning, match=r"step (\d+) of 20, from t = ") as caught:
+            traj = bf.evolve_nonlinear(w0, 0.0, cfg)
+        assert len(caught) == 1
+        step = int(re.search(r"step (\d+)", str(caught[0].message)).group(1))
+        assert step > 1
+        assert traj.params["max_cfl"] > 1.0
+        assert "max_cfl" not in traj.diagnostics
+
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_rhs_matches_five_transform_oracle(self, m):
+        n = (m - 1) // 3
+        w = bf.random_field(n, n, 5)
+        full = np.zeros((m, m), dtype=complex)
+        full[np.ix_(np.arange(-n, n + 1) % m, np.arange(-n, n + 1) % m)] = w.coeffs
+        half = full[:, : m // 2 + 1].copy()
+        assert np.abs(half[1 : n + 1, 0]).min() > 0  # the l = 0 column is populated
+        out = np.empty_like(half)
+        grid = bf.evolution._half_spectrum_advection(m)(half, out)
+        want, u1, u2 = five_transform_rhs(full)
+        scale = np.abs(want).max()
+        assert np.abs(out - want[:, : m // 2 + 1]).max() <= 1e-14 * scale
+        assert np.abs(grid[0] - u1).max() <= 1e-14 * np.abs(u1).max()
+        assert np.abs(grid[1] - u2).max() <= 1e-14 * np.abs(u2).max()
 
     def test_nan_abort_reports_step(self):
         # a violently unstable configuration must abort, not return garbage
