@@ -341,21 +341,19 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
 
     dx = 2 * math.pi / m
     max_cfl = 0.0
-    warned = False
 
     def rhs_into(w, t, out, scratch):
-        nonlocal max_cfl, warned
+        nonlocal max_cfl
         grid = advect_into(w, out)
         if w is state:  # the first stage: the velocity at the step's start
             cfl = float(np.abs(grid[:2]).max()) * dt / dx
-            max_cfl = max(max_cfl, cfl)
-            if cfl > 1.0 and not warned:
-                warned = True
+            if cfl > 1.0 >= max_cfl:  # warn on the first step over the limit
                 warnings.warn(
                     f"advective CFL number u_max dt / dx = {cfl:.3g} exceeds 1 on "
                     f"step {round(t / dt) + 1} of {n_steps}, from t = {t:.6g}",
                     RuntimeWarning,
                 )
+            max_cfl = max(max_cfl, cfl)
 
     # the |k|, |l| <= cut block, read from the half-spectrum in one gather;
     # the columns l < 0 are conjugated after it
