@@ -173,6 +173,8 @@ def cmd_evolve(args):
     trunc, nu, amp = args.trunc, args.nu, args.amp
     if args.with_x_norm and args.kind == "nonlinear":
         raise SystemExit2("--with-x-norm applies to --kind linear only")
+    if args.grid is not None and args.kind == "linear":
+        raise SystemExit2("--grid applies to --kind nonlinear only")
     w0, seed = _initial_field(args.init, trunc, args.seed)
     cfg = evolution.IntegratorConfig(
         dt=args.dt,

@@ -5,7 +5,14 @@ Both integrators step through one integrating-factor RK4 core,
 the diffusion exp(-nu (k^2 + l^2) dt) is applied exactly and the rest
 gets classical RK4 on the transformed variable.  The linear generator is
 nonautonomous through the shear amplitude a e^{-nu t}, evaluated at the
-RK stage times so the scheme keeps its fourth order.
+RK stage times so the scheme keeps its fourth order.  Its columns of
+fixed l never mix, so it advances only the block of columns that can be
+nonzero: l >= 0 for a reality-flagged field, whose columns l < 0 are
+filled in by a conjugate flip before every step after step 0 is recorded,
+and otherwise the span of the columns populated at t = 0.  The flush of
+tiny parts (below) runs on that block, and ``params["flushed_parts"]``
+counts the parts of the full array it stands for: a part flushed from a
+column l >= 1 of a reality-flagged field counts twice.
 
 The pseudo-spectral solver keeps its state on the real half-spectrum
 (numpy's ``rfft2`` layout), so each right-hand side costs one batched
@@ -105,6 +112,8 @@ class _Recorder:
         ls = np.arange(-ny, ny + 1)[None, :]
         self.lap = (ks * ks + ls * ls).astype(float)
         self.odd = parity_odd(ks)
+        self.sq = np.empty_like(self.lap)
+        self.lap_sq = np.empty_like(self.lap)
         self.times = []
         self.diag = {name: [] for name in
                      ("l2", "enstrophy", "grad_norm_sq", "max_pq", *self.extra)}
@@ -112,14 +121,15 @@ class _Recorder:
         self.fields = []
 
     def record(self, step, t, coeffs):
-        sq = np.abs(coeffs) ** 2
+        sq = np.square(np.abs(coeffs, out=self.sq), out=self.sq)
         l2_sq = float(sq.sum())
         if not math.isfinite(l2_sq):
             raise FloatingPointError(f"non-finite state at step {step} (t={t:.6g})")
         self.times.append(t)
         self.diag["l2"].append(math.sqrt(l2_sq))
         self.diag["enstrophy"].append(PARSEVAL * l2_sq)
-        self.diag["grad_norm_sq"].append(PARSEVAL * float((self.lap * sq).sum()))
+        lap_sq = np.multiply(self.lap, sq, out=self.lap_sq)
+        self.diag["grad_norm_sq"].append(PARSEVAL * float(lap_sq.sum()))
         self.diag["max_pq"].append(anomalous_content_raw(coeffs, self.ny, self.odd))
         view = None
         if self.extra:
@@ -194,26 +204,47 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     The diffusion is applied exactly through the integrating factor; the
     banded advection (amplitude a e^{-nu t}, ``full`` keeps the non-local
     coupling factors, ``approximate`` drops them) is advanced explicitly
-    with stage-time evaluation.  Rows of fixed l never mix, and the l = 0
-    row decays purely diffusively.
+    with stage-time evaluation.  Columns of fixed l never mix, and the
+    l = 0 column decays purely diffusively.
+
+    So only one contiguous block of columns is advanced: the columns
+    l >= 0 of a reality-flagged field, else the span of the columns
+    populated at t = 0 (the others stay exactly 0).  Every step after
+    step 0 is recorded from one full array that holds the block; for a
+    reality-flagged field its columns l < 0 are the conjugate flip of the
+    columns l > 0, so the asymmetry a flagged ``w0`` may carry (up to the
+    1e-8 relative that :class:`SpectralField` accepts) is gone after
+    step 0.  The scheme keeps conjugate symmetry in value but not
+    in the sign of a zero part, so the flip writes each zero imaginary
+    part as +0 and step 0 records ``w0`` as given; on the fields tried,
+    this reproduces the full-array scheme bit for bit.
 
     ``extra_diagnostics`` maps names to callables ``f(field, t) -> float``
     evaluated at every step (e.g. a weighted-norm diagnostic).  Tiny parts
-    are flushed to zero every ``FLUSH_EVERY`` steps (module comment); the
-    number of nonzero parts flushed is ``params["flushed_parts"]``.
+    of the block are flushed to zero every ``FLUSH_EVERY`` steps (module
+    comment); ``params["flushed_parts"]`` is the number of nonzero parts
+    flushed from the full array, so a part of a column l >= 1 of a
+    reality-flagged field counts twice, once more for its mirror in -l.
     """
     nx, ny = w0.nx, w0.ny
     dt = config.dt
     n_steps = config.n_steps
 
+    if w0.real_valued:
+        lo, hi = ny, 2 * ny + 1
+    else:
+        populated = np.flatnonzero(w0.coeffs.any(axis=0))
+        lo, hi = (int(populated[0]), int(populated[-1]) + 1) if populated.size else (0, 0)
     ks = np.arange(-nx, nx + 1)[:, None]
-    ls = np.arange(-ny, ny + 1)[None, :]
+    ls = np.arange(lo - ny, hi - ny)[None, :]
     lap = (ks * ks + ls * ls).astype(float)
     e_half = np.exp(-nu * lap * (dt / 2))
     fm, fp = _k_neighbours(_coupling_factor(ks, ls, variant))
     lpref = -(ls / 2.0)
+    shear = np.empty_like(lpref)
 
-    state = w0.coeffs.astype(complex).copy()
+    full = w0.coeffs.astype(complex)
+    state = full[:, lo:hi].copy()
     parts = state.view(float)
     flushed = 0
 
@@ -223,18 +254,28 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
         out[0, :] = 0.0
         np.multiply(fp[:-1, :], src[1:, :], out=scratch[:-1, :])
         out[:-1, :] -= scratch[:-1, :]
-        out *= lpref * (a * math.exp(-nu * t))
+        out *= np.multiply(lpref, a * math.exp(-nu * t), out=shear)
 
     rec = _Recorder(nx, ny, w0.real_valued, config.sample_every, extra_diagnostics)
+    # a reality-flagged field has what(-k, -l) = conj(what(k, l)), so its
+    # columns l < 0 are read off the columns l > 0 of the state
+    mirror, source = full[:, :ny], state[::-1, ny:0:-1]
 
     def record(step, w):
         nonlocal flushed
-        if step and step % FLUSH_EVERY == 0:
-            tiny = np.abs(parts) < FLUSH_BELOW
-            tiny &= parts != 0.0
-            flushed += int(np.count_nonzero(tiny))
-            parts[tiny] = 0.0
-        rec.record(step, step * dt, w)
+        if step:
+            if step % FLUSH_EVERY == 0:
+                tiny = np.abs(parts) < FLUSH_BELOW
+                tiny &= parts != 0.0
+                flushed += int(np.count_nonzero(tiny))
+                if w0.real_valued:  # the mirrors of the columns l >= 1
+                    flushed += int(np.count_nonzero(tiny[:, 2:]))
+                parts[tiny] = 0.0
+            full[:, lo:hi] = w
+            if w0.real_valued:
+                np.conjugate(source, out=mirror)
+                mirror.imag += 0.0  # -0 -> +0
+        rec.record(step, step * dt, full)
 
     _if_rk4(state, e_half, dt, n_steps, adv_into, record)
     return rec.finish(

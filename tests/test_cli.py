@@ -199,6 +199,14 @@ class TestEvolveCommand:
                           "--out-prefix", str(tmp_path / "bad")]) == 2
         assert not list(tmp_path.glob("bad*"))
 
+    @pytest.mark.parametrize("grid", ["7", "64"])
+    def test_linear_rejects_grid(self, tmp_path, grid):
+        assert exit_code(["evolve", "--init", "random:1", "--kind", "linear",
+                          "--nu", "0.01", "--trunc", "4", "--t-final", "0.02",
+                          "--dt", "0.01", "--grid", grid,
+                          "--out-prefix", str(tmp_path / "bad")]) == 2
+        assert not list(tmp_path.glob("bad*"))
+
     def test_determinism_with_seed(self, tmp_path):
         pa = str(tmp_path / "a")
         pb = str(tmp_path / "b")

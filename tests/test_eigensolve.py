@@ -247,6 +247,3 @@ class TestSpectralInvariants:
 
     def test_trace_identity(self):
         checks.check_trace()
-
-    def test_truncation_stability(self):
-        checks.check_truncation_stability()

@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 import barflow as bf
-from barflow import checks
 from barflow.fields import conjugate_asymmetry
-
-# A test whose body is one ``checks.check_*`` call runs that registry
-# invariant; its cases and bounds are stated in barflow/checks.py only.
 
 
 class TestIntegratorConfig:
@@ -52,25 +48,31 @@ class TestEvolveLinear:
                 bf.enstrophy(f), rel=1e-14, abs=0
             )
 
-    def test_reality_preserved(self):
-        checks.check_reality_preservation()
 
-
-def unflushed_if_rk4(c0, nu, a, dt, n_steps):
-    """IF-RK4 for the full shear generator with no flush, written apart
-    from the package in the same floating-point operation order as
+def reference_if_rk4(c0, nu, a, dt, n_steps, approximate=False, flush=False):
+    """IF-RK4 for the shear generator on the full coefficient array, written
+    apart from the package in the same floating-point operation order as
     ``evolution._if_rk4``: k1..k4 at t, t + dt/2, t + dt/2, t + dt, then
     w <- E^2 w + dt/6 (E^2 k1 + 2 (E (k2 + k3)) + k4) with E the
-    half-step diffusion factor."""
+    half-step diffusion factor.
+
+    ``approximate`` drops the coupling factors (fm = fp = 1).  With
+    ``flush``, every part below ``FLUSH_BELOW`` of the whole array is set
+    to zero after each ``FLUSH_EVERY``-th step.  Returns the states at
+    steps 0..n_steps and the number of nonzero parts flushed.
+    """
     nx, ny = (c0.shape[0] - 1) // 2, (c0.shape[1] - 1) // 2
     ks = np.arange(-nx, nx + 1)[:, None]
     ls = np.arange(-ny, ny + 1)[None, :]
     e_half = np.exp(-nu * (ks * ks + ls * ls).astype(float) * (dt / 2))
     e_full = e_half * e_half
-    # g(k -+ 1, l) = 1 - 1/((k -+ 1)^2 + l^2), and 1 at the excluded zero mode
-    with np.errstate(divide="ignore"):
-        fm = np.where((ks - 1) ** 2 + ls * ls > 0, 1.0 - 1.0 / ((ks - 1) ** 2 + ls * ls), 1.0)
-        fp = np.where((ks + 1) ** 2 + ls * ls > 0, 1.0 - 1.0 / ((ks + 1) ** 2 + ls * ls), 1.0)
+    if approximate:
+        fm = fp = np.ones(c0.shape)
+    else:
+        # g(k -+ 1, l) = 1 - 1/((k -+ 1)^2 + l^2), and 1 at the excluded zero mode
+        with np.errstate(divide="ignore"):
+            fm = np.where((ks - 1) ** 2 + ls * ls > 0, 1.0 - 1.0 / ((ks - 1) ** 2 + ls * ls), 1.0)
+            fp = np.where((ks + 1) ** 2 + ls * ls > 0, 1.0 - 1.0 / ((ks + 1) ** 2 + ls * ls), 1.0)
 
     def adv(u, t):
         out = np.zeros_like(u)
@@ -79,6 +81,7 @@ def unflushed_if_rk4(c0, nu, a, dt, n_steps):
         return out * (-(ls / 2.0) * (a * math.exp(-nu * t)))
 
     w = c0.astype(complex)
+    states, flushed = [w], 0
     for n in range(n_steps):
         t = n * dt
         k1 = adv(w, t)
@@ -86,7 +89,53 @@ def unflushed_if_rk4(c0, nu, a, dt, n_steps):
         k3 = adv(e_half * w + dt / 2 * k2, t + dt / 2)
         k4 = adv(e_full * w + dt * (e_half * k3), t + dt)
         w = e_full * w + dt / 6 * (e_full * k1 + 2 * (e_half * (k2 + k3)) + k4)
-    return w
+        if flush and (n + 1) % bf.evolution.FLUSH_EVERY == 0:
+            parts = w.view(float)
+            tiny = (parts != 0) & (np.abs(parts) < bf.evolution.FLUSH_BELOW)
+            flushed += int(np.count_nonzero(tiny))
+            parts[tiny] = 0.0
+        states.append(w)
+    return states, flushed
+
+
+def two_column_field(nx, ny, seed):
+    """A field that is not reality-flagged, populated on the columns l = -1
+    and l = 2 only."""
+    c = bf.seeded_row_field(nx, ny, -1, seed).coeffs + bf.seeded_row_field(nx, ny, 2, seed + 1).coeffs
+    return bf.SpectralField(nx, ny, c)
+
+
+class TestLinearMatchesFullArrayReference:
+    # evolve_linear advances only the columns that can be nonzero; every
+    # snapshot of a run that stops short of the first flush step must still
+    # hold the values the full-array reference gives
+    NU, A, DT, N_STEPS = 0.02, 1.5, 0.1, bf.evolution.FLUSH_EVERY - 1
+
+    @pytest.mark.parametrize(
+        "make, variant",
+        [
+            (lambda: bf.remove_anomalous(bf.random_field(8, 6, 2)), "full"),
+            (lambda: bf.remove_anomalous(bf.random_field(8, 6, 2)), "approximate"),
+            (lambda: bf.random_field(8, 6, 3), "full"),  # the l = 0 column is populated
+            (lambda: bf.zero_field(8, 6), "full"),
+            (lambda: bf.seeded_row_field(8, 6, 2, 4), "full"),
+            (lambda: two_column_field(8, 6, 5), "full"),
+        ],
+        ids=["anomalous-free", "anomalous-free-approximate", "random", "zero", "one-column",
+             "two-columns"],
+    )
+    def test_every_snapshot_equal(self, make, variant):
+        w0 = make()
+        cfg = bf.IntegratorConfig(dt=self.DT, t_final=self.N_STEPS * self.DT)
+        traj = bf.evolve_linear(w0, self.NU, self.A, variant, cfg)
+        want, _ = reference_if_rk4(
+            w0.coeffs, self.NU, self.A, self.DT, self.N_STEPS, approximate=variant == "approximate"
+        )
+        assert len(traj.fields) == len(want) == self.N_STEPS + 1
+        for i, (got, ref) in enumerate(zip(traj.fields, want)):
+            assert np.array_equal(got.coeffs, ref), f"step {i}"
+            assert traj.diagnostics["l2"][i] == math.sqrt(float((np.abs(ref) ** 2).sum()))
+        assert traj.params["flushed_parts"] == 0
 
 
 def subnormal_parts(c):
@@ -95,19 +144,25 @@ def subnormal_parts(c):
 
 
 class TestSubnormalFlush:
-    def test_flushed_run_matches_unflushed(self):
-        # strong diffusion drives the high modes through the subnormal range
-        # within two flush periods
-        n, nu, a, dt = 16, 1.0, 1.0, 0.05
-        n_steps = 2 * bf.evolution.FLUSH_EVERY
+    # strong diffusion drives the high modes through the subnormal range
+    # within two flush periods
+    N, NU, A, DT, N_STEPS = 16, 1.0, 1.0, 0.05, 2 * bf.evolution.FLUSH_EVERY
+
+    def run(self, sample_every):
+        """The J-even, conjugate-symmetric initial coefficients, the J sign
+        pattern, and the trajectory."""
+        n = self.N
         c = bf.random_field(n, n, 11).coeffs
         sign = np.where(np.arange(-n, n + 1) % 2 == 0, 1.0, -1.0)[:, None]
-        c = (c + sign * c[::-1, :]) / 2  # J-even and conjugate-symmetric
+        c = (c + sign * c[::-1, :]) / 2
         w0 = bf.SpectralField(n, n, c, real_valued=True)
-        cfg = bf.IntegratorConfig(dt=dt, t_final=n_steps * dt, sample_every=n_steps)
-        traj = bf.evolve_linear(w0, nu, a, "full", cfg)
+        cfg = bf.IntegratorConfig(dt=self.DT, t_final=self.N_STEPS * self.DT, sample_every=sample_every)
+        return c, sign, bf.evolve_linear(w0, self.NU, self.A, "full", cfg)
+
+    def test_flushed_run_matches_unflushed(self):
+        c, sign, traj = self.run(sample_every=self.N_STEPS)
         got = traj.fields[-1].coeffs
-        want = unflushed_if_rk4(c, nu, a, dt, n_steps)
+        want = reference_if_rk4(c, self.NU, self.A, self.DT, self.N_STEPS)[0][-1]
         assert subnormal_parts(want) > 0
         assert traj.params["flushed_parts"] > 0
 
@@ -118,6 +173,14 @@ class TestSubnormalFlush:
         assert subnormal_parts(got) == 0
         assert np.array_equal(got, sign * got[::-1, :])
         assert np.array_equal(got[::-1, ::-1], np.conj(got))
+
+    def test_flushed_parts_counted_on_the_full_array(self):
+        c, _, traj = self.run(sample_every=1)
+        want, flushed = reference_if_rk4(c, self.NU, self.A, self.DT, self.N_STEPS, flush=True)
+        assert flushed > 0
+        assert traj.params["flushed_parts"] == flushed
+        for i, (got, ref) in enumerate(zip(traj.fields, want)):
+            assert np.array_equal(got.coeffs, ref), f"step {i}"
 
 
 def five_transform_rhs(w):

@@ -45,9 +45,6 @@ class TestConstants:
         with pytest.raises(ValueError):
             bad.validate()
 
-    def test_balance_identity_random(self):
-        checks.check_constants_identities()
-
 
 class TestXNorm:
     def test_zero_field(self):
@@ -143,9 +140,6 @@ class TestOscillatorEstimate:
             bf.estimate_m0(0.0, 1e-3, 1.0, 2)
         with pytest.raises(ValueError):
             bf.estimate_m0(1e-3, 1e-3, 1.0, 2, n_modes=32)
-
-    def test_monotone_in_time(self):
-        checks.check_m0_monotone_in_time()
 
 
 class TestDecayCheck:
