@@ -166,8 +166,13 @@ def _if_rk4(state, e_half, dt, n_steps, rhs_into, record):
     kc = R(E w + dt/2 kb) (both at t + dt/2), kd = R(E^2 w + dt (E kc),
     t + dt) and w <- E^2 w + dt/6 (E^2 ka + 2 (E (kb + kc)) + kd).
     ``record(step, state)`` runs at step 0 and after every step.
+
+    E and E^2 are cast once to the dtype of ``state``: a real factor would
+    be cast through a buffer on every multiply.  Their imaginary parts are
+    +0, so each product is the one numpy formed after that cast.
     """
-    e_full = e_half * e_half
+    e_full = (e_half * e_half).astype(state.dtype)
+    e_half = e_half.astype(state.dtype)
     ka, kb, kc, kd, t1, t2, t3 = (np.empty_like(state) for _ in range(7))
     record(0, state)
     for n in range(n_steps):
@@ -239,9 +244,10 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     ls = np.arange(lo - ny, hi - ny)[None, :]
     lap = (ks * ks + ls * ls).astype(float)
     e_half = np.exp(-nu * lap * (dt / 2))
-    fm, fp = _k_neighbours(_coupling_factor(ks, ls, variant))
+    # complex coefficients with +0 imaginary parts (see _if_rk4)
+    fm, fp = (f.astype(complex) for f in _k_neighbours(_coupling_factor(ks, ls, variant)))
     lpref = -(ls / 2.0)
-    shear = np.empty_like(lpref)
+    shear = np.zeros(lpref.shape, dtype=complex)
 
     full = w0.coeffs.astype(complex)
     state = full[:, lo:hi].copy()
@@ -254,7 +260,8 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
         out[0, :] = 0.0
         np.multiply(fp[:-1, :], src[1:, :], out=scratch[:-1, :])
         out[:-1, :] -= scratch[:-1, :]
-        out *= np.multiply(lpref, a * math.exp(-nu * t), out=shear)
+        np.multiply(lpref, a * math.exp(-nu * t), out=shear.real)  # shear.imag stays +0
+        out *= shear
 
     rec = _Recorder(nx, ny, w0.real_valued, config.sample_every, extra_diagnostics)
     # a reality-flagged field has what(-k, -l) = conj(what(k, l)), so its
@@ -318,7 +325,7 @@ def _half_spectrum_advection(m):
     )) * scale
     cut = (m - 1) // 3
     mask = (np.abs(kx) <= cut) & (ky <= cut)
-    neg_mask = mask * (-1.0 / scale)
+    neg_mask = (mask * (-1.0 / scale)).astype(complex)
     spec = np.empty(mult.shape, dtype=complex)
 
     def advect_into(w, out):

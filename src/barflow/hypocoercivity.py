@@ -29,6 +29,7 @@ nonautonomous amplitude a e^{-nu t}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,37 +159,57 @@ def functional_sample(row, constants, t):
     return FunctionalSample(t, phi, l2_sq, dx_sq, cross, c_sq)
 
 
+@functools.lru_cache(maxsize=16)
+def _x_norm_weights(nx, ny, nu):
+    """Read-only weights of :func:`x_norm_sq` on a (2 nx + 1) x (2 ny + 1)
+    array: ``1 + sqrt(nu/|l|) k^2`` on |c|^2 and ``|l|^{1/2} / (4 sqrt(nu))``
+    on |c(k-1) + c(k+1)|^2, both 0 on l = 0.  Both have the array's shape:
+    a broadcast operand costs more per call than the memory it saves."""
+    ks = np.arange(-nx, nx + 1, dtype=float)[:, None]
+    labs = np.abs(np.arange(-ny, ny + 1, dtype=float))
+    sel = labs > 0
+    w_sq = np.zeros((2 * nx + 1, 2 * ny + 1))
+    w_sq[:, sel] = 1.0 + np.sqrt(nu / labs[sel]) * (ks * ks)
+    w_nb = np.zeros_like(w_sq)
+    w_nb[:, sel] = np.sqrt(labs[sel]) / (4 * math.sqrt(nu))
+    w_sq.setflags(write=False)
+    w_nb.setflags(write=False)
+    return w_sq, w_nb
+
+
 def x_norm_sq(field, nu, a, t=0.0):
     """Squared mixed norm of a field whose l = 0 row vanishes.
 
     Rejects fields with l = 0 content above 1e-10 times the coefficient
-    norm.
+    norm.  With C w = -i (a l / 2) e^{-nu t} (w(k-1) + w(k+1)) the norm is
+    2 pi times two weighted sums,
+
+        sum (1 + sqrt(nu/|l|) k^2) |c|^2
+            + (a e^{-nu t})^2 sum |l|^{1/2} / (4 sqrt(nu)) |c(k-1) + c(k+1)|^2,
+
+    over l != 0.  The weights depend on (nx, ny, nu) only and are built
+    once per triple (a small LRU cache of read-only arrays).
     """
     c = field.coeffs
     nx, ny = field.nx, field.ny
-    scale = float(np.sqrt(np.sum(np.abs(c) ** 2)))
+    sq = np.abs(c)
+    sq *= sq
+    scale = math.sqrt(float(sq.sum()))
     row0 = float(np.abs(c[:, ny]).max())
     if row0 > 1e-10 * max(scale, 1e-300):
         raise ValueError(
             f"l = 0 content {row0:.3e} exceeds tolerance for the mixed norm"
         )
-    ls = np.arange(-ny, ny + 1)[None, :].astype(float)
-    ks = np.arange(-nx, nx + 1)[:, None].astype(float)
-    crows = _apply_commutator(c, ls, a, nu, t)
-    sq = np.abs(c) ** 2
-    l2_rows = sq.sum(axis=0)
-    dx_rows = (ks * ks * sq).sum(axis=0)
-    c_rows = (np.abs(crows) ** 2).sum(axis=0)
-    labs = np.abs(ls[0])
-    sel = labs > 0
-    w_dx = np.sqrt(nu / labs[sel])
-    w_c = 1.0 / (math.sqrt(nu) * labs[sel] ** 1.5)
-    total = (
-        l2_rows[sel].sum()
-        + (w_dx * dx_rows[sel]).sum()
-        + (w_c * c_rows[sel]).sum()
-    )
-    return TWO_PI * float(total)
+    w_sq, w_nb = _x_norm_weights(nx, ny, nu)
+    nb = np.zeros_like(c)
+    nb[1:] = c[:-1]
+    nb[:-1] += c[1:]
+    nb_sq = np.abs(nb)
+    nb_sq *= nb_sq
+    sq *= w_sq
+    nb_sq *= w_nb
+    amp = a * math.exp(-nu * t)
+    return TWO_PI * (float(sq.sum()) + amp * amp * float(nb_sq.sum()))
 
 
 def x_norm_diagnostic(nu, a):

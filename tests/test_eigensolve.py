@@ -46,9 +46,6 @@ class TestComputeSpectrum:
         re = spec.eigenvalues.real
         assert np.all(np.diff(re) <= 1e-9 * max(1.0, np.abs(re).max()))
 
-    def test_symmetrized_stable(self):
-        checks.check_symmetrized_stability()
-
 
 def _slices(trunc):
     """Every kind of bar slice the package builds."""

@@ -53,8 +53,10 @@ def reference_if_rk4(c0, nu, a, dt, n_steps, approximate=False, flush=False):
     """IF-RK4 for the shear generator on the full coefficient array, written
     apart from the package in the same floating-point operation order as
     ``evolution._if_rk4``: k1..k4 at t, t + dt/2, t + dt/2, t + dt, then
-    w <- E^2 w + dt/6 (E^2 k1 + 2 (E (k2 + k3)) + k4) with E the
-    half-step diffusion factor.
+    w <- w E^2 + (k1 E^2 + (k2 + k3) E 2 + k4) dt/6 with E the
+    half-step diffusion factor.  The order of the operands of each product
+    is the package's too: under a fused multiply-add, x s and s x can round
+    an underflowed part to zeros of opposite sign.
 
     ``approximate`` drops the coupling factors (fm = fp = 1).  With
     ``flush``, every part below ``FLUSH_BELOW`` of the whole array is set
@@ -85,10 +87,10 @@ def reference_if_rk4(c0, nu, a, dt, n_steps, approximate=False, flush=False):
     for n in range(n_steps):
         t = n * dt
         k1 = adv(w, t)
-        k2 = adv(e_half * (w + dt / 2 * k1), t + dt / 2)
-        k3 = adv(e_half * w + dt / 2 * k2, t + dt / 2)
-        k4 = adv(e_full * w + dt * (e_half * k3), t + dt)
-        w = e_full * w + dt / 6 * (e_full * k1 + 2 * (e_half * (k2 + k3)) + k4)
+        k2 = adv((k1 * (dt / 2) + w) * e_half, t + dt / 2)
+        k3 = adv(w * e_half + k2 * (dt / 2), t + dt / 2)
+        k4 = adv(k3 * e_half * dt + w * e_full, t + dt)
+        w = w * e_full + (k1 * e_full + (k2 + k3) * e_half * 2.0 + k4) * (dt / 6)
         if flush and (n + 1) % bf.evolution.FLUSH_EVERY == 0:
             parts = w.view(float)
             tiny = (parts != 0) & (np.abs(parts) < bf.evolution.FLUSH_BELOW)
@@ -105,10 +107,21 @@ def two_column_field(nx, ny, seed):
     return bf.SpectralField(nx, ny, c)
 
 
+def real_coefficient_field(nx, ny, seed):
+    """A reality-flagged field whose coefficients are all real: every
+    imaginary part is +0, which a plain conjugate flip would write as -0."""
+    return bf.SpectralField(nx, ny, bf.random_field(nx, ny, seed).coeffs.real.astype(complex), real_valued=True)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, so also in the sign of every zero part."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestLinearMatchesFullArrayReference:
     # evolve_linear advances only the columns that can be nonzero; every
     # snapshot of a run that stops short of the first flush step must still
-    # hold the values the full-array reference gives
+    # hold the bits the full-array reference gives
     NU, A, DT, N_STEPS = 0.02, 1.5, 0.1, bf.evolution.FLUSH_EVERY - 1
 
     @pytest.mark.parametrize(
@@ -120,9 +133,10 @@ class TestLinearMatchesFullArrayReference:
             (lambda: bf.zero_field(8, 6), "full"),
             (lambda: bf.seeded_row_field(8, 6, 2, 4), "full"),
             (lambda: two_column_field(8, 6, 5), "full"),
+            (lambda: real_coefficient_field(8, 6, 6), "full"),
         ],
         ids=["anomalous-free", "anomalous-free-approximate", "random", "zero", "one-column",
-             "two-columns"],
+             "two-columns", "real-coefficients"],
     )
     def test_every_snapshot_equal(self, make, variant):
         w0 = make()
@@ -133,7 +147,7 @@ class TestLinearMatchesFullArrayReference:
         )
         assert len(traj.fields) == len(want) == self.N_STEPS + 1
         for i, (got, ref) in enumerate(zip(traj.fields, want)):
-            assert np.array_equal(got.coeffs, ref), f"step {i}"
+            assert same_bits(got.coeffs, ref), f"step {i}"
             assert traj.diagnostics["l2"][i] == math.sqrt(float((np.abs(ref) ** 2).sum()))
         assert traj.params["flushed_parts"] == 0
 
@@ -179,7 +193,12 @@ class TestSubnormalFlush:
         want, flushed = reference_if_rk4(c, self.NU, self.A, self.DT, self.N_STEPS, flush=True)
         assert flushed > 0
         assert traj.params["flushed_parts"] == flushed
+        # the advanced columns l >= 0 hold the reference's bits; the columns
+        # l < 0 are their conjugate flips, equal to the reference in value
+        # but not in the sign of a part that underflowed to zero
+        n = self.N
         for i, (got, ref) in enumerate(zip(traj.fields, want)):
+            assert same_bits(got.coeffs[:, n:], ref[:, n:]), f"step {i}"
             assert np.array_equal(got.coeffs, ref), f"step {i}"
 
 

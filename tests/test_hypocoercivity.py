@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 import barflow as bf
-from barflow import checks
-from barflow.hypocoercivity import _apply_commutator
-
-# A test whose body is one ``checks.check_*`` call runs that registry
-# invariant; its cases and bounds are stated in barflow/checks.py only.
+from barflow.hypocoercivity import _apply_commutator, _x_norm_weights
 
 
 class TestConstants:
@@ -46,7 +42,56 @@ class TestConstants:
             bad.validate()
 
 
+def row_sum_x_norm_sq(c, nu, a, t):
+    """The mixed norm as sums over each row l != 0 of ||w_l||^2,
+    sqrt(nu/|l|) ||d_x w_l||^2 and ||C w_l||^2 / (sqrt(nu) |l|^{3/2}),
+    with C w = -i (a l / 2) e^{-nu t} (w(k-1) + w(k+1)): the definition,
+    written apart from the package."""
+    nx, ny = (c.shape[0] - 1) // 2, (c.shape[1] - 1) // 2
+    ks = np.arange(-nx, nx + 1)[:, None].astype(float)
+    ls = np.arange(-ny, ny + 1).astype(float)
+    nb = np.zeros_like(c)
+    nb[1:] += c[:-1]
+    nb[:-1] += c[1:]
+    cw = -0.5j * a * math.exp(-nu * t) * ls[None, :] * nb
+    sq = np.abs(c) ** 2
+    total = 0.0
+    for j, ell in enumerate(ls):
+        if ell != 0:
+            total += (sq[:, j].sum() + math.sqrt(nu / abs(ell)) * (ks[:, 0] ** 2 * sq[:, j]).sum()
+                      + (np.abs(cw[:, j]) ** 2).sum() / (math.sqrt(nu) * abs(ell) ** 1.5))
+    return 2 * math.pi * total
+
+
+def random_x_norm_fields(nx, ny, seed):
+    """A reality-flagged and an unflagged random field, both zero on l = 0."""
+    c = bf.random_field(nx, ny, seed).coeffs.copy()
+    c[:, ny] = 0.0
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)
+    d[:, ny] = 0.0
+    return bf.SpectralField(nx, ny, c, real_valued=True), bf.SpectralField(nx, ny, d)
+
+
 class TestXNorm:
+    @pytest.mark.parametrize("nx, ny, seed", [(6, 4, 0), (12, 5, 1), (48, 4, 2)])
+    def test_matches_row_sums(self, nx, ny, seed):
+        for w in random_x_norm_fields(nx, ny, seed):
+            for nu, a in ((1e-3, 1.0), (1e-4, 1.3)):
+                for t in (0.0, 0.7, 250.0):
+                    got = bf.x_norm_sq(w, nu, a, t)
+                    want = row_sum_x_norm_sq(w.coeffs, nu, a, t)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0), (w.real_valued, nu, a, t)
+
+    def test_weights_cached_read_only(self):
+        w_sq, w_nb = _x_norm_weights(6, 4, 1e-3)
+        assert _x_norm_weights(6, 4, 1e-3)[0] is w_sq
+        for weights in (w_sq, w_nb):
+            assert not weights.flags.writeable
+            with pytest.raises(ValueError):
+                weights[0, 0] = 1.0
+        assert not w_sq[:, 4].any() and not w_nb[:, 4].any()
+
     def test_zero_field(self):
         assert bf.x_norm_sq(bf.zero_field(4, 2), 1e-3, 1.0) == 0.0
 
@@ -101,9 +146,6 @@ class TestFunctional:
         got = _apply_commutator(row, 2, 1.3, 0.01, 0.7)
         want = bf.commutator_matrix(2, 3, 1.3, 0.7, 0.01) @ row
         assert np.abs(got - want).max() < 1e-15
-
-    def test_sandwich_bounds_random(self):
-        checks.check_functional_sandwich()
 
 
 class TestOscillatorEstimate:

@@ -139,9 +139,6 @@ class TestAdjoint:
         back = bf.adjoint_slice(bf.adjoint_slice(op))
         assert np.abs(back.matrix - op.matrix).max() == 0.0
 
-    def test_shear_modes_are_adjoint_null_directions(self):
-        checks.check_anomalous_mode_exactness()
-
 
 class TestSymmetrizedSlice:
     def test_multiplier_value(self):
