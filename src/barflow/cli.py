@@ -39,11 +39,11 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    """Write ``header``, then each row of the iterable ``rows`` as it comes."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _sha256(path):
@@ -189,21 +189,10 @@ def cmd_evolve(args):
         traj = evolution.evolve_nonlinear(w0, nu, cfg)
     diag_path = f"{args.out_prefix}_diagnostics.csv"
     names = ("t", "l2", "x_norm", "phi", "max_pq", "enstrophy", "grad_norm_sq")
-    rows = []
-    for i, t in enumerate(traj.times):
-        d = traj.diagnostics
-        rows.append(
-            (
-                t,
-                d["l2"][i],
-                d["x_norm"][i] if "x_norm" in d else math.nan,
-                d["phi"][i] if "phi" in d else math.nan,
-                d["max_pq"][i],
-                d["enstrophy"][i],
-                d["grad_norm_sq"][i],
-            )
-        )
-    _write_csv(diag_path, names, rows)
+    d = traj.diagnostics
+    absent = np.full(len(traj.times), math.nan)
+    table = np.column_stack([traj.times, *(d.get(name, absent) for name in names[1:])])
+    _write_csv(diag_path, names, (row.tolist() for row in table))
     outputs = [diag_path]
     for i, f in enumerate(traj.fields):
         path = f"{args.out_prefix}_field_{i:04d}.csv"

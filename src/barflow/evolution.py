@@ -7,12 +7,12 @@ gets classical RK4 on the transformed variable.  The linear generator is
 nonautonomous through the shear amplitude a e^{-nu t}, evaluated at the
 RK stage times so the scheme keeps its fourth order.  Its columns of
 fixed l never mix, so it advances only the block of columns that can be
-nonzero: l >= 0 for a reality-flagged field, whose columns l < 0 are
-filled in by a conjugate flip before every step after step 0 is recorded,
-and otherwise the span of the columns populated at t = 0.  The flush of
-tiny parts (below) runs on that block, and ``params["flushed_parts"]``
-counts the parts of the full array it stands for: a part flushed from a
-column l >= 1 of a reality-flagged field counts twice.
+nonzero: l >= 0 for a reality-flagged field, whose columns l < 0 are the
+conjugate flips of the columns l > 0, and otherwise the span of the
+columns populated at t = 0.  The flush of tiny parts (below) runs on that
+block, and ``params["flushed_parts"]`` counts the parts of the full array
+it stands for: a part flushed from a column l >= 1 of a reality-flagged
+field counts twice.
 
 The pseudo-spectral solver keeps its state on the real half-spectrum
 (numpy's ``rfft2`` layout), so each right-hand side costs one batched
@@ -21,8 +21,17 @@ from the velocity its first stage forms; the largest is
 ``params["max_cfl"]``.
 
 Trajectories record scalar diagnostics at every step and full field
-snapshots every ``sample_every`` steps (snapshots bound the memory; the
-diagnostics stored at snapshot times are re-derivable from the snapshots).
+snapshots every ``sample_every`` steps and at the final step (snapshots
+bound the memory; the diagnostics stored at snapshot times are
+re-derivable from the snapshots).  The times and every diagnostic are
+stored in float64 arrays allocated for all steps up front.  A linear run
+reads its diagnostics off the advanced block and builds the full array
+only on the steps that hand a field out: step 0 (the initial field as
+given), snapshot steps, the final step, and every step when extra
+diagnostics are present.  The benchmark tracer's per-step clock is such an
+extra diagnostic, so traced runs, like ``decay_check`` with its X-norm,
+build the full array at every step, and traced step times include that
+work.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PARSEVAL, _wrap, anomalous_content_raw, parity_odd
+from .fields import PARSEVAL, _wrap, anomalous_content_raw, pair_content_raw
 from .operators import _coupling_factor, _k_neighbours
 
 # Over t ~ 1/nu the integrating factor exp(-nu k^2 t) drives the high modes
@@ -102,55 +111,103 @@ class DecayFit:
 
 
 class _Recorder:
-    def __init__(self, nx, ny, real_valued, sample_every, extra_diagnostics):
+    """The per-step diagnostics and the snapshots of one run.
+
+    ``times`` and every diagnostic, built-in and extra, are float64 arrays
+    of length ``n_steps + 1``, allocated up front: step ``step`` writes
+    slot ``step``, and :meth:`finish` hands the arrays to the
+    :class:`Trajectory` without a copy.
+
+    :meth:`record` reads a full coefficient array.  :meth:`record_block`
+    reads only the columns ``cols = (lo, hi)`` that a linear run advances
+    and gives the same values bit for bit: ``|block|^2`` goes into those
+    columns of one reused full-shape array, whose other columns are 0, or
+    for a reality-flagged field (block l >= 0) the flip of the columns
+    l > 0, as |conj x| == |x|; the same whole-array sums then run.  Its
+    ``max_pq`` reads the block's columns l = 0 and +-1: the row l = -1 of
+    a flagged field mirrors the row l = +1 exactly, and a block with no
+    column |l| <= 1 gives 0.0.  It takes the full array only on the steps
+    that hand a field out (:meth:`wants_field`): snapshot steps, the final
+    step, and every step when extra diagnostics, called as ``f(field, t)``,
+    are present (the benchmark tracer's per-step clock is one).
+    """
+
+    def __init__(self, nx, ny, real_valued, n_steps, sample_every, extra_diagnostics, cols=None):
         self.nx = nx
         self.ny = ny
         self.real_valued = real_valued
+        self.n_steps = n_steps
         self.sample_every = sample_every
         self.extra = extra_diagnostics or {}
         ks = np.arange(-nx, nx + 1)[:, None]
         ls = np.arange(-ny, ny + 1)[None, :]
         self.lap = (ks * ks + ls * ls).astype(float)
-        self.odd = parity_odd(ks)
-        self.sq = np.empty_like(self.lap)
+        self.sq = np.zeros_like(self.lap)
         self.lap_sq = np.empty_like(self.lap)
-        self.times = []
-        self.diag = {name: [] for name in
+        self.lo, self.hi = cols or (0, 2 * ny + 1)
+        self.shear_col = ny - self.lo if self.lo <= ny < self.hi else None
+        pm1 = [ny + l - self.lo for l in (-1, 1) if self.lo <= ny + l < self.hi]
+        self.pm1_cols = slice(pm1[0], pm1[-1] + 1, 2) if pm1 else None
+        self.times = np.empty(n_steps + 1)
+        self.diag = {name: np.empty(n_steps + 1) for name in
                      ("l2", "enstrophy", "grad_norm_sq", "max_pq", *self.extra)}
         self.field_times = []
         self.fields = []
 
+    def _snapshot(self, step):
+        return step % self.sample_every == 0 or step == self.n_steps
+
+    def wants_field(self, step):
+        """Whether step ``step`` hands the full array out."""
+        return bool(self.extra) or self._snapshot(step)
+
     def record(self, step, t, coeffs):
-        sq = np.square(np.abs(coeffs, out=self.sq), out=self.sq)
-        l2_sq = float(sq.sum())
+        """Record step ``step`` at time ``t`` from the full array ``coeffs``."""
+        np.square(np.abs(coeffs, out=self.sq), out=self.sq)
+        self._sums(step, t)
+        self.diag["max_pq"][step] = anomalous_content_raw(coeffs, self.ny)
+        self._hand_out(step, t, coeffs)
+
+    def record_block(self, step, t, block, full):
+        """Record step ``step`` from ``block``, the columns ``lo:hi`` of the
+        coefficient array; ``full`` is the whole array if
+        :meth:`wants_field`, else None."""
+        sq, ny = self.sq, self.ny
+        part = sq[:, self.lo : self.hi]
+        np.square(np.abs(block, out=part), out=part)
+        if self.real_valued:  # |conj x| == |x|: the columns l < 0 mirror l > 0
+            sq[:, :ny] = sq[::-1, : ny : -1]
+        self._sums(step, t)
+        shear = 0.0 if self.shear_col is None else float(np.abs(block[:, self.shear_col]).max())
+        pairs = 0.0 if self.pm1_cols is None else pair_content_raw(block[:, self.pm1_cols])
+        self.diag["max_pq"][step] = max(shear, pairs)
+        if full is not None:
+            self._hand_out(step, t, full)
+
+    def _sums(self, step, t):
+        l2_sq = float(self.sq.sum())
         if not math.isfinite(l2_sq):
             raise FloatingPointError(f"non-finite state at step {step} (t={t:.6g})")
-        self.times.append(t)
-        self.diag["l2"].append(math.sqrt(l2_sq))
-        self.diag["enstrophy"].append(PARSEVAL * l2_sq)
-        lap_sq = np.multiply(self.lap, sq, out=self.lap_sq)
-        self.diag["grad_norm_sq"].append(PARSEVAL * float(lap_sq.sum()))
-        self.diag["max_pq"].append(anomalous_content_raw(coeffs, self.ny, self.odd))
-        view = None
+        self.times[step] = t
+        self.diag["l2"][step] = math.sqrt(l2_sq)
+        self.diag["enstrophy"][step] = PARSEVAL * l2_sq
+        lap_sq = np.multiply(self.lap, self.sq, out=self.lap_sq)
+        self.diag["grad_norm_sq"][step] = PARSEVAL * float(lap_sq.sum())
+
+    def _hand_out(self, step, t, coeffs):
         if self.extra:
             view = _wrap(self.nx, self.ny, coeffs.view(), self.real_valued)
             for name, fn in self.extra.items():
-                self.diag[name].append(float(fn(view, t)))
-        if step % self.sample_every == 0:
+                self.diag[name][step] = float(fn(view, t))
+        if self._snapshot(step):
             self.field_times.append(t)
-            self.fields.append(
-                _wrap(self.nx, self.ny, coeffs.copy(), self.real_valued)
-            )
-        self.last = coeffs
+            self.fields.append(_wrap(self.nx, self.ny, coeffs.copy(), self.real_valued))
 
     def finish(self, params):
-        if self.field_times[-1] != self.times[-1]:  # end on the final state
-            self.field_times.append(self.times[-1])
-            self.fields.append(_wrap(self.nx, self.ny, self.last.copy(), self.real_valued))
         return Trajectory(
             params=params,
-            times=np.array(self.times),
-            diagnostics={k: np.array(v) for k, v in self.diag.items()},
+            times=self.times,
+            diagnostics=self.diag,
             field_times=np.array(self.field_times),
             fields=self.fields,
         )
@@ -214,15 +271,18 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
 
     So only one contiguous block of columns is advanced: the columns
     l >= 0 of a reality-flagged field, else the span of the columns
-    populated at t = 0 (the others stay exactly 0).  Every step after
-    step 0 is recorded from one full array that holds the block; for a
-    reality-flagged field its columns l < 0 are the conjugate flip of the
-    columns l > 0, so the asymmetry a flagged ``w0`` may carry (up to the
-    1e-8 relative that :class:`SpectralField` accepts) is gone after
-    step 0.  The scheme keeps conjugate symmetry in value but not
-    in the sign of a zero part, so the flip writes each zero imaginary
-    part as +0 and step 0 records ``w0`` as given; on the fields tried,
-    this reproduces the full-array scheme bit for bit.
+    populated at t = 0 (the others stay exactly 0).  Step 0 records
+    ``w0`` as given; every later step is recorded from the block, with
+    the values the full array would give bit for bit (``_Recorder``).
+    The full array, the block with, for a reality-flagged field, its
+    columns l < 0 filled by the conjugate flip of the columns l > 0, is
+    built only on the steps that hand it out: snapshot steps, the final
+    step, and every step when ``extra_diagnostics`` are given.  So the
+    asymmetry a flagged ``w0`` may carry (up to the 1e-8 relative that
+    :class:`SpectralField` accepts) is gone after step 0.  The scheme
+    keeps conjugate symmetry in value but not in the sign of a zero part,
+    so the flip writes each zero imaginary part as +0; on the fields
+    tried, this reproduces the full-array scheme bit for bit.
 
     ``extra_diagnostics`` maps names to callables ``f(field, t) -> float``
     evaluated at every step (e.g. a weighted-norm diagnostic).  Tiny parts
@@ -263,26 +323,31 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
         np.multiply(lpref, a * math.exp(-nu * t), out=shear.real)  # shear.imag stays +0
         out *= shear
 
-    rec = _Recorder(nx, ny, w0.real_valued, config.sample_every, extra_diagnostics)
+    rec = _Recorder(nx, ny, w0.real_valued, n_steps, config.sample_every, extra_diagnostics, (lo, hi))
     # a reality-flagged field has what(-k, -l) = conj(what(k, l)), so its
     # columns l < 0 are read off the columns l > 0 of the state
     mirror, source = full[:, :ny], state[::-1, ny:0:-1]
 
     def record(step, w):
         nonlocal flushed
-        if step:
-            if step % FLUSH_EVERY == 0:
-                tiny = np.abs(parts) < FLUSH_BELOW
-                tiny &= parts != 0.0
-                flushed += int(np.count_nonzero(tiny))
-                if w0.real_valued:  # the mirrors of the columns l >= 1
-                    flushed += int(np.count_nonzero(tiny[:, 2:]))
-                parts[tiny] = 0.0
+        if step == 0:  # w0 as given
+            rec.record(0, 0.0, full)
+            return
+        if step % FLUSH_EVERY == 0:
+            tiny = np.abs(parts) < FLUSH_BELOW
+            tiny &= parts != 0.0
+            flushed += int(np.count_nonzero(tiny))
+            if w0.real_valued:  # the mirrors of the columns l >= 1
+                flushed += int(np.count_nonzero(tiny[:, 2:]))
+            parts[tiny] = 0.0
+        handed = None
+        if rec.wants_field(step):
             full[:, lo:hi] = w
             if w0.real_valued:
                 np.conjugate(source, out=mirror)
                 mirror.imag += 0.0  # -0 -> +0
-        rec.record(step, step * dt, full)
+            handed = full
+        rec.record_block(step, step * dt, w, handed)
 
     _if_rk4(state, e_half, dt, n_steps, adv_into, record)
     return rec.finish(
@@ -408,7 +473,7 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
     ks = np.arange(-cut, cut + 1)
     index = np.where(ks[None, :] < 0, -ks[:, None], ks[:, None]) % m * h + np.abs(ks)[None, :]
     block = np.empty(index.shape, dtype=complex)
-    rec = _Recorder(cut, cut, True, config.sample_every, extra_diagnostics)
+    rec = _Recorder(cut, cut, True, n_steps, config.sample_every, extra_diagnostics)
 
     def record(step, w):
         np.take(w.ravel(), index, out=block)

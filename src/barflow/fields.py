@@ -312,18 +312,30 @@ def remove_anomalous(w):
     return _wrap(w.nx, w.ny, c, w.real_valued)
 
 
-def anomalous_content_raw(coeffs, ny, odd):
+def pair_content_raw(rows):
+    """max |c + J c| over the columns of ``rows``, whose first axis runs
+    over the wavenumbers -n..n (0.0 for no column).
+
+    (c + J c)(-k) is +-(c + J c)(k), bit for bit up to the sign of a zero
+    part, so only k >= 0 is formed: c(k) + c(-k) at even k and
+    c(k) - c(-k) at odd k, read through strided views with no flipped copy.
+    """
+    n = rows.shape[0] // 2
+    even = np.abs(rows[n::2] + rows[n::-2]).max(initial=0.0)
+    odd = np.abs(rows[n + 1 :: 2] - rows[n - 1 :: -2]).max(initial=0.0)
+    return float(max(even, odd))
+
+
+def anomalous_content_raw(coeffs, ny):
     """max(|l = 0 row|, |c + J c| on the rows l = +-1) of a raw coefficient
-    array; ``odd`` is :func:`parity_odd` of the wavenumbers as a column."""
-    rows = _pm1_rows(coeffs, ny)
-    shear = float(np.abs(coeffs[:, ny]).max())
-    return max(shear, float(np.abs(rows + parity(rows, odd)).max()))
+    array."""
+    return max(float(np.abs(coeffs[:, ny]).max()), pair_content_raw(_pm1_rows(coeffs, ny)))
 
 
 def anomalous_content(w):
     """Largest anomalous-coordinate magnitude: the shear-aligned row and
     every entry of w + J w on the |l| = 1 rows."""
-    return anomalous_content_raw(w.coeffs, w.ny, parity_odd(w.wavenumbers()[0]))
+    return anomalous_content_raw(w.coeffs, w.ny)
 
 
 def is_anomalous_free(w, tol=1e-10):
@@ -399,19 +411,20 @@ def seeded_row_field(nx, ny, ell, seed):
 
 def save_field(field, path):
     """Write the field as CSV: a header carrying nx, ny and the reality
-    flag, then one ``k,l,re,im`` row per nonzero coefficient."""
-    lines = [f"# nx={field.nx} ny={field.ny} reality={int(field.real_valued)}"]
-    lines.append("k,l,re,im")
-    for i in range(2 * field.nx + 1):
-        for j in range(2 * field.ny + 1):
-            c = field.coeffs[i, j]
-            if c != 0:
-                lines.append(
-                    f"{i - field.nx},{j - field.ny},"
-                    f"{c.real:.17g},{c.imag:.17g}"
-                )
+    flag, then one ``k,l,re,im`` row per nonzero coefficient.
+
+    Rows are written as each k is read, so no whole-field text is held.
+    """
+    nx, ny = field.nx, field.ny
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# nx={nx} ny={ny} reality={int(field.real_valued)}\nk,l,re,im\n")
+        for k, row in enumerate(field.coeffs, start=-nx):
+            js = np.flatnonzero(row)
+            c = row[js]
+            fh.write("".join(
+                f"{k},{l},{re:.17g},{im:.17g}\n"
+                for l, re, im in zip((js - ny).tolist(), c.real.tolist(), c.imag.tolist())
+            ))
 
 
 def load_field(path):
@@ -431,5 +444,5 @@ def load_field(path):
             if not line:
                 continue
             k, l, re, im = line.split(",")
-            c[int(k) + nx, int(l) + ny] = float(re) + 1j * float(im)
+            c[int(k) + nx, int(l) + ny] = complex(float(re), float(im))
     return SpectralField(nx, ny, c, real_valued=reality, copy=False)

@@ -12,7 +12,7 @@ import pytest
 import barflow as bf
 from barflow import checks
 from barflow.checks import ALL_CHECKS, GOLDEN_DIR
-from barflow.cli import main
+from barflow.cli import _write_csv, main
 
 
 def exit_code(argv):
@@ -32,6 +32,22 @@ def read_csv(path):
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     return header, rows
+
+
+class TestCsvFormat:
+    def test_exact_text(self, tmp_path):
+        # ints as written, floats (Python or numpy) at 17 significant digits
+        # with the sign of a zero, nan as nan; rows may be any iterable
+        path = tmp_path / "table.csv"
+        rows = iter([(1, 0.1, math.nan), [np.int64(-2), np.float64(-0.0), 5e-324],
+                     (0, np.float64(1 / 3), 1 / 3)])
+        _write_csv(path, ("n", "x", "y"), rows)
+        assert path.read_text() == (
+            "n,x,y\n"
+            "1,0.10000000000000001,nan\n"
+            "-2,-0,4.9406564584124654e-324\n"
+            "0,0.33333333333333331,0.33333333333333331\n"
+        )
 
 
 class TestSpectrumCommand:

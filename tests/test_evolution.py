@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,98 @@ class TestLinearMatchesFullArrayReference:
             assert same_bits(got.coeffs, ref), f"step {i}"
             assert traj.diagnostics["l2"][i] == math.sqrt(float((np.abs(ref) ** 2).sum()))
         assert traj.params["flushed_parts"] == 0
+
+
+def span_field(nx, ny, seed):
+    """A field that is not reality-flagged, with random coefficients on the
+    columns l = -1, 0, +1 and 2."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros((2 * nx + 1, 2 * ny + 1), dtype=complex)
+    c[:, ny - 1 : ny + 3] = rng.standard_normal((2 * nx + 1, 4)) + 1j * rng.standard_normal((2 * nx + 1, 4))
+    c[nx, ny] = 0.0
+    return bf.SpectralField(nx, ny, c)
+
+
+def full_array_diagnostics(c):
+    """l2, enstrophy, grad_norm_sq and max_pq of a full coefficient array,
+    by the whole-array formulas: sums of |c|^2 and (k^2 + l^2) |c|^2, and
+    the largest of |l = 0 row| and |c + J c| on the rows l = +-1."""
+    nx, ny = (c.shape[0] - 1) // 2, (c.shape[1] - 1) // 2
+    ks = np.arange(-nx, nx + 1)[:, None]
+    ls = np.arange(-ny, ny + 1)[None, :]
+    sq = np.square(np.abs(c))
+    l2_sq = float(sq.sum())
+    grad = bf.fields.PARSEVAL * float(((ks * ks + ls * ls).astype(float) * sq).sum())
+    rows = c[:, ny - 1 : ny + 2 : 2]
+    pairs = rows + bf.fields.parity(rows, bf.fields.parity_odd(ks))
+    max_pq = max(float(np.abs(c[:, ny]).max()), float(np.abs(pairs).max()))
+    return math.sqrt(l2_sq), bf.fields.PARSEVAL * l2_sq, grad, max_pq
+
+
+class TestBlockRecordMatchesFullArray:
+    # with sample_every = 7 most steps hand no field out, so their
+    # diagnostics are read off the advanced block alone
+    NU, A, DT, N_STEPS, SAMPLE = 0.02, 1.5, 0.1, 30, 7
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: bf.random_field(8, 6, 3),  # reality-flagged, l = 0 populated
+            lambda: bf.seeded_row_field(8, 6, 2, 4),  # no column with |l| <= 1
+            lambda: span_field(8, 6, 5),
+        ],
+        ids=["flagged", "one-column", "span"],
+    )
+    def test_every_step_equal(self, make):
+        w0 = make()
+        want, _ = reference_if_rk4(w0.coeffs, self.NU, self.A, self.DT, self.N_STEPS)
+        cfg = bf.IntegratorConfig(dt=self.DT, t_final=self.N_STEPS * self.DT, sample_every=self.SAMPLE)
+        traj = bf.evolve_linear(w0, self.NU, self.A, "full", cfg)
+        names = ("l2", "enstrophy", "grad_norm_sq", "max_pq")
+        for step, ref in enumerate(want):
+            got = tuple(float(traj.diagnostics[name][step]) for name in names)
+            assert got == full_array_diagnostics(ref), f"step {step}"
+        snapshot_steps = [*range(0, self.N_STEPS + 1, self.SAMPLE), self.N_STEPS]
+        assert np.array_equal(traj.field_times, np.array(snapshot_steps) * self.DT)
+        for step, got in zip(snapshot_steps, traj.fields):
+            assert same_bits(got.coeffs, want[step]), f"step {step}"
+
+        # an extra diagnostic sees the full field at every step, and the
+        # built-in diagnostics do not change
+        seen = []
+
+        def full_field(field, t):
+            step = round(t / self.DT)
+            assert same_bits(field.coeffs, want[step]), f"step {step}"
+            seen.append(step)
+            return t
+
+        with_extra = bf.evolve_linear(w0, self.NU, self.A, "full", cfg, {"probe": full_field})
+        assert seen == list(range(self.N_STEPS + 1))
+        for name in names:
+            assert same_bits(with_extra.diagnostics[name], traj.diagnostics[name]), name
+
+
+class TestRecorderStorage:
+    def test_peak_grows_by_one_float64_per_series_and_step(self):
+        # a Python list grows by about 32 B per float it holds
+        w0 = bf.random_field(3, 3, 0)
+        extra = {"probe": lambda field, t: t}
+        n_series = 6  # times, l2, enstrophy, grad_norm_sq, max_pq, probe
+
+        def peak(n_steps):
+            cfg = bf.IntegratorConfig(dt=0.01, t_final=n_steps * 0.01, sample_every=10**6)
+            tracemalloc.start()
+            try:
+                bf.evolve_linear(w0, 0.01, 1.0, "full", cfg, extra)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 500
+        peak(n)  # warm the caches so both measured runs start alike
+        growth = (peak(2 * n) - peak(n)) / n
+        assert growth <= 1.25 * 8 * n_series
 
 
 def subnormal_parts(c):
