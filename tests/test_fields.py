@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import barflow as bf
+from barflow import checks
 from barflow.fields import conjugate_asymmetry
+
+# A test whose body is one ``checks.check_*`` call runs that registry
+# invariant; its cases and bounds are stated in src/barflow/checks.py only.
 
 
 class TestBarState:
@@ -70,6 +74,9 @@ class TestBiotSavart:
         with pytest.raises(ValueError):
             bf.SpectralField(3, 3, c)
 
+    def test_curl_recovery(self):
+        checks.check_curl_recovery()
+
 
 class TestAnomalousCoordinates:
     def test_central_mode_doubled(self):
@@ -106,6 +113,12 @@ class TestProjection:
         assert p.get(2, 1) == 0.5
         assert p.get(-2, 1) == -0.5
         assert bf.anomalous_coordinates(p).even_sums_plus[1] == 0.0
+
+    def test_idempotent_and_nonexpansive(self):
+        checks.check_projection()
+
+    def test_orthogonal(self):
+        checks.check_projection()
 
 
 class TestMembership:
@@ -157,12 +170,18 @@ class TestQuadraticDiagnostics:
             2 * math.pi**2, rel=1e-14, abs=0
         )
 
+    def test_poincare(self):
+        checks.check_poincare()
+
 
 class TestSynthesis:
     def test_values_match_direct_sum(self):
         w = bf.mode_field(2, 2, {(1, 0): 0.5, (-1, 0): 0.5}, real_valued=True)
         x, _, vals = bf.synthesize(w, grid_x=16, grid_y=8)
         assert np.allclose(vals.real, np.cos(x)[:, None], atol=1e-13)
+
+    def test_reality(self):
+        checks.check_reality_synthesis()
 
 
 class TestSerialization:
