@@ -282,7 +282,7 @@ def check_reality_preservation():
     cfg = evolution.IntegratorConfig(dt=0.02, t_final=2.0, sample_every=10)
     traj = evolution.evolve_linear(w0, 0.05, 1.0, "full", cfg)
     worst = max(fields.conjugate_asymmetry(f) for f in traj.fields)
-    _require(worst < 1e-12, f"conjugate symmetry drift {worst:.3e}")
+    _require(worst == 0.0, f"conjugate symmetry drift {worst:.3e}")
 
 
 def check_inviscid_conservation():

@@ -188,7 +188,7 @@ def cmd_evolve(args):
     else:
         traj = evolution.evolve_nonlinear(w0, nu, cfg)
     diag_path = f"{args.out_prefix}_diagnostics.csv"
-    names = ("t", "l2", "x_norm", "phi", "max_pq", "enstrophy", "grad_norm_sq")
+    names = ("t", "l2", "x_norm", "max_pq", "enstrophy", "grad_norm_sq")
     d = traj.diagnostics
     absent = np.full(len(traj.times), math.nan)
     table = np.column_stack([traj.times, *(d.get(name, absent) for name in names[1:])])

@@ -24,14 +24,18 @@ Trajectories record scalar diagnostics at every step and full field
 snapshots every ``sample_every`` steps and at the final step (snapshots
 bound the memory; the diagnostics stored at snapshot times are
 re-derivable from the snapshots).  The times and every diagnostic are
-stored in float64 arrays allocated for all steps up front.  A linear run
-reads its diagnostics off the advanced block and builds the full array
-only on the steps that hand a field out: step 0 (the initial field as
-given), snapshot steps, the final step, and every step when extra
-diagnostics are present.  The benchmark tracer's per-step clock is such an
-extra diagnostic, so traced runs, like ``decay_check`` with its X-norm,
-build the full array at every step, and traced step times include that
-work.
+stored in float64 arrays allocated for all steps up front.  Both
+integrators hand the recorder, at every step from step 0 on, only the
+block of columns they advance: the linear state itself, and the columns
+l = 0..(m - 1) // 3 of the nonlinear half-spectrum, gathered in one
+``np.take``.  The recorder reads the diagnostics off that block and alone
+builds the full array, only on the steps that hand a field out: snapshot
+steps, the final step, and every step when extra diagnostics are present.
+It has one mirror rule: the columns l < 0 of a reality-flagged field are
+the conjugate flip of the columns l > 0, with every zero imaginary part
+written as +0.  The benchmark tracer's per-step clock is an extra
+diagnostic, so traced runs, like ``decay_check`` with its X-norm, build
+the full array at every step, and traced step times include that work.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PARSEVAL, _wrap, anomalous_content_raw, pair_content_raw
+from .fields import PARSEVAL, _wrap, pair_content_raw
 from .operators import _coupling_factor, _k_neighbours
 
 # Over t ~ 1/nu the integrating factor exp(-nu k^2 t) drives the high modes
@@ -118,21 +122,26 @@ class _Recorder:
     slot ``step``, and :meth:`finish` hands the arrays to the
     :class:`Trajectory` without a copy.
 
-    :meth:`record` reads a full coefficient array.  :meth:`record_block`
-    reads only the columns ``cols = (lo, hi)`` that a linear run advances
-    and gives the same values bit for bit: ``|block|^2`` goes into those
-    columns of one reused full-shape array, whose other columns are 0, or
-    for a reality-flagged field (block l >= 0) the flip of the columns
-    l > 0, as |conj x| == |x|; the same whole-array sums then run.  Its
-    ``max_pq`` reads the block's columns l = 0 and +-1: the row l = -1 of
-    a flagged field mirrors the row l = +1 exactly, and a block with no
-    column |l| <= 1 gives 0.0.  It takes the full array only on the steps
-    that hand a field out (:meth:`wants_field`): snapshot steps, the final
-    step, and every step when extra diagnostics, called as ``f(field, t)``,
-    are present (the benchmark tracer's per-step clock is one).
+    :meth:`record` reads the block an integrator advances, the columns
+    ``cols = (lo, hi)`` of the full ``(2 nx + 1) x (2 ny + 1)`` array; for
+    a reality-flagged field the block is the columns l >= 0.  ``|block|^2``
+    goes into those columns of one reused full-shape array, whose other
+    columns are 0, or for a flagged field the flip of the columns l > 0,
+    as |conj x| == |x|; the whole-array sums then run, so ``l2``,
+    ``enstrophy`` and ``grad_norm_sq`` are those of the full array bit for
+    bit.  ``max_pq`` reads the block's columns l = 0 and +-1: the row
+    l = -1 of a flagged field mirrors the row l = +1 exactly, and a block
+    with no column |l| <= 1 gives 0.0.
+
+    The full array is built here alone, and only on the steps that hand it
+    out: snapshot steps, the final step, and every step when extra
+    diagnostics, called as ``f(field, t)``, are present (the benchmark
+    tracer's per-step clock is one).  It holds the block, zeros in the
+    other columns, or for a flagged field the conjugate flip of the
+    columns l > 0 with every zero imaginary part written as +0.
     """
 
-    def __init__(self, nx, ny, real_valued, n_steps, sample_every, extra_diagnostics, cols=None):
+    def __init__(self, nx, ny, real_valued, n_steps, sample_every, extra_diagnostics, cols):
         self.nx = nx
         self.ny = ny
         self.real_valued = real_valued
@@ -144,7 +153,8 @@ class _Recorder:
         self.lap = (ks * ks + ls * ls).astype(float)
         self.sq = np.zeros_like(self.lap)
         self.lap_sq = np.empty_like(self.lap)
-        self.lo, self.hi = cols or (0, 2 * ny + 1)
+        self.full = np.zeros(self.lap.shape, dtype=complex)
+        self.lo, self.hi = cols
         self.shear_col = ny - self.lo if self.lo <= ny < self.hi else None
         pm1 = [ny + l - self.lo for l in (-1, 1) if self.lo <= ny + l < self.hi]
         self.pm1_cols = slice(pm1[0], pm1[-1] + 1, 2) if pm1 else None
@@ -154,54 +164,42 @@ class _Recorder:
         self.field_times = []
         self.fields = []
 
-    def _snapshot(self, step):
-        return step % self.sample_every == 0 or step == self.n_steps
-
-    def wants_field(self, step):
-        """Whether step ``step`` hands the full array out."""
-        return bool(self.extra) or self._snapshot(step)
-
-    def record(self, step, t, coeffs):
-        """Record step ``step`` at time ``t`` from the full array ``coeffs``."""
-        np.square(np.abs(coeffs, out=self.sq), out=self.sq)
-        self._sums(step, t)
-        self.diag["max_pq"][step] = anomalous_content_raw(coeffs, self.ny)
-        self._hand_out(step, t, coeffs)
-
-    def record_block(self, step, t, block, full):
-        """Record step ``step`` from ``block``, the columns ``lo:hi`` of the
-        coefficient array; ``full`` is the whole array if
-        :meth:`wants_field`, else None."""
+    def record(self, step, t, block):
+        """Record step ``step`` at time ``t`` from ``block``, the columns
+        ``lo:hi`` of the coefficient array."""
         sq, ny = self.sq, self.ny
         part = sq[:, self.lo : self.hi]
         np.square(np.abs(block, out=part), out=part)
         if self.real_valued:  # |conj x| == |x|: the columns l < 0 mirror l > 0
             sq[:, :ny] = sq[::-1, : ny : -1]
-        self._sums(step, t)
-        shear = 0.0 if self.shear_col is None else float(np.abs(block[:, self.shear_col]).max())
-        pairs = 0.0 if self.pm1_cols is None else pair_content_raw(block[:, self.pm1_cols])
-        self.diag["max_pq"][step] = max(shear, pairs)
-        if full is not None:
-            self._hand_out(step, t, full)
-
-    def _sums(self, step, t):
-        l2_sq = float(self.sq.sum())
+        l2_sq = float(sq.sum())
         if not math.isfinite(l2_sq):
             raise FloatingPointError(f"non-finite state at step {step} (t={t:.6g})")
         self.times[step] = t
         self.diag["l2"][step] = math.sqrt(l2_sq)
         self.diag["enstrophy"][step] = PARSEVAL * l2_sq
-        lap_sq = np.multiply(self.lap, self.sq, out=self.lap_sq)
+        lap_sq = np.multiply(self.lap, sq, out=self.lap_sq)
         self.diag["grad_norm_sq"][step] = PARSEVAL * float(lap_sq.sum())
+        shear = 0.0 if self.shear_col is None else float(np.abs(block[:, self.shear_col]).max())
+        pairs = 0.0 if self.pm1_cols is None else pair_content_raw(block[:, self.pm1_cols])
+        self.diag["max_pq"][step] = max(shear, pairs)
 
-    def _hand_out(self, step, t, coeffs):
+        snapshot = step % self.sample_every == 0 or step == self.n_steps
+        if not (snapshot or self.extra):
+            return
+        full = self.full
+        full[:, self.lo : self.hi] = block
+        if self.real_valued:  # what(-k, -l) = conj(what(k, l))
+            mirror = full[:, :ny]
+            np.conjugate(block[::-1, ny:0:-1], out=mirror)
+            mirror.imag += 0.0  # -0 -> +0
         if self.extra:
-            view = _wrap(self.nx, self.ny, coeffs.view(), self.real_valued)
+            view = _wrap(self.nx, self.ny, full.view(), self.real_valued)
             for name, fn in self.extra.items():
                 self.diag[name][step] = float(fn(view, t))
-        if self._snapshot(step):
+        if snapshot:
             self.field_times.append(t)
-            self.fields.append(_wrap(self.nx, self.ny, coeffs.copy(), self.real_valued))
+            self.fields.append(_wrap(self.nx, self.ny, full.copy(), self.real_valued))
 
     def finish(self, params):
         return Trajectory(
@@ -271,18 +269,16 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
 
     So only one contiguous block of columns is advanced: the columns
     l >= 0 of a reality-flagged field, else the span of the columns
-    populated at t = 0 (the others stay exactly 0).  Step 0 records
-    ``w0`` as given; every later step is recorded from the block, with
-    the values the full array would give bit for bit (``_Recorder``).
-    The full array, the block with, for a reality-flagged field, its
-    columns l < 0 filled by the conjugate flip of the columns l > 0, is
-    built only on the steps that hand it out: snapshot steps, the final
-    step, and every step when ``extra_diagnostics`` are given.  So the
-    asymmetry a flagged ``w0`` may carry (up to the 1e-8 relative that
-    :class:`SpectralField` accepts) is gone after step 0.  The scheme
-    keeps conjugate symmetry in value but not in the sign of a zero part,
-    so the flip writes each zero imaginary part as +0; on the fields
-    tried, this reproduces the full-array scheme bit for bit.
+    populated at t = 0 (the others stay exactly 0).  Every step, step 0
+    included, is recorded from the block (``_Recorder``), and the full
+    array is the block with, for a reality-flagged field, its columns
+    l < 0 filled by the conjugate flip of the columns l > 0.  So a flagged
+    ``w0`` is recorded as that projection from step 0 on: the asymmetry
+    it may carry (up to the 1e-8 relative that :class:`SpectralField`
+    accepts) is dropped.  The scheme keeps conjugate symmetry in value but
+    not in the sign of a zero part, so the flip writes each zero
+    imaginary part as +0; on the fields tried, this reproduces the
+    full-array scheme bit for bit.
 
     ``extra_diagnostics`` maps names to callables ``f(field, t) -> float``
     evaluated at every step (e.g. a weighted-norm diagnostic).  Tiny parts
@@ -309,8 +305,7 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     lpref = -(ls / 2.0)
     shear = np.zeros(lpref.shape, dtype=complex)
 
-    full = w0.coeffs.astype(complex)
-    state = full[:, lo:hi].copy()
+    state = w0.coeffs[:, lo:hi].copy()
     parts = state.view(float)
     flushed = 0
 
@@ -324,30 +319,17 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
         out *= shear
 
     rec = _Recorder(nx, ny, w0.real_valued, n_steps, config.sample_every, extra_diagnostics, (lo, hi))
-    # a reality-flagged field has what(-k, -l) = conj(what(k, l)), so its
-    # columns l < 0 are read off the columns l > 0 of the state
-    mirror, source = full[:, :ny], state[::-1, ny:0:-1]
 
     def record(step, w):
         nonlocal flushed
-        if step == 0:  # w0 as given
-            rec.record(0, 0.0, full)
-            return
-        if step % FLUSH_EVERY == 0:
+        if step and step % FLUSH_EVERY == 0:
             tiny = np.abs(parts) < FLUSH_BELOW
             tiny &= parts != 0.0
             flushed += int(np.count_nonzero(tiny))
             if w0.real_valued:  # the mirrors of the columns l >= 1
                 flushed += int(np.count_nonzero(tiny[:, 2:]))
             parts[tiny] = 0.0
-        handed = None
-        if rec.wants_field(step):
-            full[:, lo:hi] = w
-            if w0.real_valued:
-                np.conjugate(source, out=mirror)
-                mirror.imag += 0.0  # -0 -> +0
-            handed = full
-        rec.record_block(step, step * dt, w, handed)
+        rec.record(step, step * dt, w)
 
     _if_rk4(state, e_half, dt, n_steps, adv_into, record)
     return rec.finish(
@@ -421,7 +403,9 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
 
     The state is stored on the real half-spectrum (the ``rfft2`` layout of
     :func:`_half_spectrum_advection`), so each right-hand side costs one
-    batched ``irfft2`` and one ``rfft2``.  Every step's CFL number
+    batched ``irfft2`` and one ``rfft2``.  It is built from the columns
+    l >= 0 of ``w0``, so, as in :func:`evolve_linear`, any conjugate
+    asymmetry ``w0`` carries is dropped from step 0 on.  Every step's CFL number
     max|u| dt / dx is taken from the velocity at its start; the first step
     over 1 raises a ``RuntimeWarning`` and ``params["max_cfl"]`` is the
     largest over the run.
@@ -468,16 +452,14 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
                 )
             max_cfl = max(max_cfl, cfl)
 
-    # the |k|, |l| <= cut block, read from the half-spectrum in one gather;
-    # the columns l < 0 are conjugated after it
-    ks = np.arange(-cut, cut + 1)
-    index = np.where(ks[None, :] < 0, -ks[:, None], ks[:, None]) % m * h + np.abs(ks)[None, :]
-    block = np.empty(index.shape, dtype=complex)
-    rec = _Recorder(cut, cut, True, n_steps, config.sample_every, extra_diagnostics)
+    # the columns l = 0..cut of the |k|, |l| <= cut block, read off the
+    # half-spectrum in one gather
+    rows = np.arange(-cut, cut + 1) % m
+    block = np.empty((2 * cut + 1, cut + 1), dtype=complex)
+    rec = _Recorder(cut, cut, True, n_steps, config.sample_every, extra_diagnostics, (cut, 2 * cut + 1))
 
     def record(step, w):
-        np.take(w.ravel(), index, out=block)
-        np.conjugate(block[:, :cut], out=block[:, :cut])
+        np.take(w[:, : cut + 1], rows, axis=0, out=block)
         rec.record(step, step * dt, block)
 
     _if_rk4(state, e_half, dt, n_steps, rhs_into, record)

@@ -326,16 +326,10 @@ def pair_content_raw(rows):
     return float(max(even, odd))
 
 
-def anomalous_content_raw(coeffs, ny):
-    """max(|l = 0 row|, |c + J c| on the rows l = +-1) of a raw coefficient
-    array."""
-    return max(float(np.abs(coeffs[:, ny]).max()), pair_content_raw(_pm1_rows(coeffs, ny)))
-
-
 def anomalous_content(w):
     """Largest anomalous-coordinate magnitude: the shear-aligned row and
     every entry of w + J w on the |l| = 1 rows."""
-    return anomalous_content_raw(w.coeffs, w.ny)
+    return max(float(np.abs(w.coeffs[:, w.ny]).max()), pair_content_raw(_pm1_rows(w.coeffs, w.ny)))
 
 
 def is_anomalous_free(w, tol=1e-10):

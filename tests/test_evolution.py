@@ -39,6 +39,24 @@ class TestEvolveLinear:
         traj = bf.evolve_linear(bf.zero_field(4, 4), 0.01, 1.0, "full", cfg)
         assert traj.diagnostics["l2"].max() == 0.0
 
+    def test_step_zero_recorded_as_projection(self):
+        # a flagged field may carry an asymmetry the constructor accepts;
+        # step 0 already records its columns l >= 0 and their +0 mirror
+        c = bf.random_field(6, 6, 1).coeffs.copy()
+        c[0, 0] += 1e-10  # what(-6, -6)
+        w0 = bf.SpectralField(6, 6, c, real_valued=True)
+        assert conjugate_asymmetry(w0) > 0.0
+        want = c.copy()
+        mirror = np.conj(c[::-1, 12:6:-1])  # the columns l = 6..1, k -> -k
+        mirror.imag += 0.0
+        want[:, :6] = mirror
+        cfg = bf.IntegratorConfig(dt=0.1, t_final=0.1)
+        traj = bf.evolve_linear(w0, 0.01, 1.0, "full", cfg)
+        got = traj.fields[0]
+        assert same_bits(got.coeffs, want)
+        assert conjugate_asymmetry(got) == 0.0
+        assert traj.diagnostics["l2"][0] == math.sqrt(float((np.abs(want) ** 2).sum()))
+
     def test_diagnostics_rederivable_from_snapshots(self):
         w0 = bf.random_field(6, 6, 1)
         cfg = bf.IntegratorConfig(dt=0.1, t_final=1.0, sample_every=5)
@@ -355,6 +373,22 @@ class TestEvolveNonlinear:
         cfg = bf.IntegratorConfig(dt=1e-3, t_final=0.1, sample_every=25, grid=32)
         traj = bf.evolve_nonlinear(w0, 0.01, cfg)
         assert max(conjugate_asymmetry(f) for f in traj.fields) < 1e-12
+
+    def test_recorded_from_block(self):
+        # every step's diagnostics are those of the snapshot the recorder
+        # builds, whose columns l < 0 carry no -0 imaginary part
+        w0 = bf.random_field(5, 5, 3, decay=0.3)
+        cfg = bf.IntegratorConfig(dt=1e-3, t_final=0.02, sample_every=1, grid=32)
+        traj = bf.evolve_nonlinear(w0, 0.01, cfg)
+        d = traj.diagnostics
+        assert len(traj.fields) == 21
+        for step, f in enumerate(traj.fields):
+            assert d["l2"][step] == f.norm(), f"step {step}"
+            assert d["enstrophy"][step] == bf.fields.enstrophy(f), f"step {step}"
+            assert d["grad_norm_sq"][step] == bf.fields.grad_norm_sq(f), f"step {step}"
+            assert d["max_pq"][step] == bf.fields.anomalous_content(f), f"step {step}"
+            imag = f.coeffs[:, : f.ny].imag
+            assert not np.signbit(imag[imag == 0.0]).any(), f"step {step}"
 
     def test_cfl_warning(self):
         w0 = bf.bar_state(1, 4, 4, amplitude=50.0)
