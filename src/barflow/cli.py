@@ -209,7 +209,8 @@ def cmd_evolve(args):
         "seed": seed,
     }
     if args.kind == "linear":
-        params.update(variant=args.variant, amp=amp, flushed_parts=traj.params["flushed_parts"])
+        params.update(variant=args.variant, amp=amp, flushed_parts=traj.params["flushed_parts"],
+                      advective_number=traj.params["advective_number"])
     else:
         params.update(grid=traj.params["grid"], max_cfl=traj.params["max_cfl"])
     return args.out_prefix, params, outputs

@@ -3,7 +3,10 @@
 Both integrators step through one integrating-factor RK4 core,
 :func:`_if_rk4`, and supply only their right-hand side and state layout:
 the diffusion exp(-nu (k^2 + l^2) dt) is applied exactly and the rest
-gets classical RK4 on the transformed variable.  The linear generator is
+gets classical RK4 on the transformed variable.  The right-hand side is
+supplied as a binder, ``bind_rhs(src, out, scratch, first) -> rhs(t)``,
+which the core calls once per stage before the first step, so each stage's
+views are built once and the step loop makes none.  The linear generator is
 nonautonomous through the shear amplitude a e^{-nu t}, evaluated at the
 RK stage times so the scheme keeps its fourth order.  Its columns of
 fixed l never mix, so it advances only the block of columns that can be
@@ -12,7 +15,9 @@ conjugate flips of the columns l > 0, and otherwise the span of the
 columns populated at t = 0.  The flush of tiny parts (below) runs on that
 block, and ``params["flushed_parts"]`` counts the parts of the full array
 it stands for: a part flushed from a column l >= 1 of a reality-flagged
-field counts twice.
+field counts twice.  Its advective number dt |a| max|l| over the block
+is ``params["advective_number"]``; over ``ADVECTIVE_LIMIT`` = 2 sqrt(2)
+it warns before the first step.
 
 The pseudo-spectral solver keeps its state on the real half-spectrum
 (numpy's ``rfft2`` layout), so each right-hand side costs one batched
@@ -61,6 +66,16 @@ from .operators import _coupling_factor, _k_neighbours
 #   on each row, and with conjugation.
 FLUSH_EVERY = 64
 FLUSH_BELOW = 1e-290
+
+# The linear IF-RK4 step multiplies an advective mode of frequency omega,
+# whose diffusion rate is d, by e^{-d dt} R(i omega dt) with R the RK4
+# polynomial 1 + z + z^2/2 + z^3/6 + z^4/24.  |R(iy)|^2 = 1 - y^6/72 + y^8/576
+# exceeds 1 exactly when |y| > 2 sqrt(2), and e^{-d dt} -> 1 as nu dt -> 0,
+# so diffusion cannot be relied on to damp it.  On column l the advection
+# is tridiagonal with bands (l/2) a e^{-nu t} g, 0 <= g <= 1, of opposite
+# signs, so its eigenvalues are imaginary with |omega| <= |l| |a| for all
+# t >= 0.  dt |a| max|l| <= ADVECTIVE_LIMIT then keeps every mode stable.
+ADVECTIVE_LIMIT = 2 * math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -122,9 +137,11 @@ class _Recorder:
     slot ``step``, and :meth:`finish` hands the arrays to the
     :class:`Trajectory` without a copy.
 
-    :meth:`record` reads the block an integrator advances, the columns
-    ``cols = (lo, hi)`` of the full ``(2 nx + 1) x (2 ny + 1)`` array; for
-    a reality-flagged field the block is the columns l >= 0.  ``|block|^2``
+    :meth:`record` reads ``block``, the array an integrator advances or
+    gathers in place, so every view of it and of the reused arrays below
+    is built once, here.  It holds the columns ``cols = (lo, hi)`` of the
+    full ``(2 nx + 1) x (2 ny + 1)`` array; for a reality-flagged field
+    the block is the columns l >= 0.  ``|block|^2``
     goes into those columns of one reused full-shape array, whose other
     columns are 0, or for a flagged field the flip of the columns l > 0,
     as |conj x| == |x|; the whole-array sums then run, so ``l2``,
@@ -136,12 +153,13 @@ class _Recorder:
     The full array is built here alone, and only on the steps that hand it
     out: snapshot steps, the final step, and every step when extra
     diagnostics, called as ``f(field, t)``, are present (the benchmark
-    tracer's per-step clock is one).  It holds the block, zeros in the
-    other columns, or for a flagged field the conjugate flip of the
-    columns l > 0 with every zero imaginary part written as +0.
+    tracer's per-step clock is one), which all get the same read-only
+    field over it.  It holds the block, zeros in the other columns, or for
+    a flagged field the conjugate flip of the columns l > 0 with every
+    zero imaginary part written as +0.
     """
 
-    def __init__(self, nx, ny, real_valued, n_steps, sample_every, extra_diagnostics, cols):
+    def __init__(self, nx, ny, real_valued, n_steps, sample_every, extra_diagnostics, cols, block):
         self.nx = nx
         self.ny = ny
         self.real_valued = real_valued
@@ -154,52 +172,63 @@ class _Recorder:
         self.sq = np.zeros_like(self.lap)
         self.lap_sq = np.empty_like(self.lap)
         self.full = np.zeros(self.lap.shape, dtype=complex)
-        self.lo, self.hi = cols
-        self.shear_col = ny - self.lo if self.lo <= ny < self.hi else None
-        pm1 = [ny + l - self.lo for l in (-1, 1) if self.lo <= ny + l < self.hi]
-        self.pm1_cols = slice(pm1[0], pm1[-1] + 1, 2) if pm1 else None
+        lo, hi = cols
+        self.block = block
+        self.sq_block = self.sq[:, lo:hi]
+        self.full_block = self.full[:, lo:hi]
+        if real_valued:  # the columns l < 0 and the columns l > 0 they mirror
+            self.sq_mirror, self.sq_mirrored = self.sq[:, :ny], self.sq[::-1, : ny : -1]
+            self.full_mirror, self.block_mirrored = self.full[:, :ny], block[::-1, ny:0:-1]
+            self.full_mirror_imag = self.full_mirror.imag
+        # max_pq reads the column l = 0 and the columns l = +-1 of the block
+        self.shear_col = block[:, ny - lo] if lo <= ny < hi else None
+        self.shear_abs = None if self.shear_col is None else np.empty(self.shear_col.shape)
+        pm1 = [ny + l - lo for l in (-1, 1) if lo <= ny + l < hi]
+        self.pm1 = block[:, pm1[0] : pm1[-1] + 1 : 2] if pm1 else None
+        # one read-only field over the reused full array, handed to every
+        # extra diagnostic
+        self.view = _wrap(nx, ny, self.full.view(), real_valued)
         self.times = np.empty(n_steps + 1)
         self.diag = {name: np.empty(n_steps + 1) for name in
                      ("l2", "enstrophy", "grad_norm_sq", "max_pq", *self.extra)}
+        self.l2, self.enstrophy, self.grad_norm_sq, self.max_pq = (
+            self.diag[name] for name in ("l2", "enstrophy", "grad_norm_sq", "max_pq"))
+        self.extra_out = [(fn, self.diag[name]) for name, fn in self.extra.items()]
         self.field_times = []
         self.fields = []
 
-    def record(self, step, t, block):
-        """Record step ``step`` at time ``t`` from ``block``, the columns
-        ``lo:hi`` of the coefficient array."""
-        sq, ny = self.sq, self.ny
-        part = sq[:, self.lo : self.hi]
+    def record(self, step, t):
+        """Record step ``step`` at time ``t`` from the block, which holds
+        the columns ``lo:hi`` of the coefficient array."""
+        block, sq, reduce = self.block, self.sq, np.add.reduce
+        part = self.sq_block
         np.square(np.abs(block, out=part), out=part)
         if self.real_valued:  # |conj x| == |x|: the columns l < 0 mirror l > 0
-            sq[:, :ny] = sq[::-1, : ny : -1]
-        l2_sq = float(sq.sum())
+            np.copyto(self.sq_mirror, self.sq_mirrored)
+        l2_sq = reduce(sq, None)
         if not math.isfinite(l2_sq):
             raise FloatingPointError(f"non-finite state at step {step} (t={t:.6g})")
         self.times[step] = t
-        self.diag["l2"][step] = math.sqrt(l2_sq)
-        self.diag["enstrophy"][step] = PARSEVAL * l2_sq
-        lap_sq = np.multiply(self.lap, sq, out=self.lap_sq)
-        self.diag["grad_norm_sq"][step] = PARSEVAL * float(lap_sq.sum())
-        shear = 0.0 if self.shear_col is None else float(np.abs(block[:, self.shear_col]).max())
-        pairs = 0.0 if self.pm1_cols is None else pair_content_raw(block[:, self.pm1_cols])
-        self.diag["max_pq"][step] = max(shear, pairs)
+        self.l2[step] = math.sqrt(l2_sq)
+        self.enstrophy[step] = PARSEVAL * l2_sq
+        self.grad_norm_sq[step] = PARSEVAL * reduce(np.multiply(self.lap, sq, out=self.lap_sq), None)
+        shear = 0.0 if self.shear_col is None else np.maximum.reduce(
+            np.abs(self.shear_col, out=self.shear_abs), None)
+        pairs = 0.0 if self.pm1 is None else pair_content_raw(self.pm1)
+        self.max_pq[step] = max(shear, pairs)
 
         snapshot = step % self.sample_every == 0 or step == self.n_steps
         if not (snapshot or self.extra):
             return
-        full = self.full
-        full[:, self.lo : self.hi] = block
+        np.copyto(self.full_block, block)
         if self.real_valued:  # what(-k, -l) = conj(what(k, l))
-            mirror = full[:, :ny]
-            np.conjugate(block[::-1, ny:0:-1], out=mirror)
-            mirror.imag += 0.0  # -0 -> +0
-        if self.extra:
-            view = _wrap(self.nx, self.ny, full.view(), self.real_valued)
-            for name, fn in self.extra.items():
-                self.diag[name][step] = float(fn(view, t))
+            np.conjugate(self.block_mirrored, out=self.full_mirror)
+            np.add(self.full_mirror_imag, 0.0, out=self.full_mirror_imag)  # -0 -> +0
+        for fn, values in self.extra_out:
+            values[step] = fn(self.view, t)
         if snapshot:
             self.field_times.append(t)
-            self.fields.append(_wrap(self.nx, self.ny, full.copy(), self.real_valued))
+            self.fields.append(_wrap(self.nx, self.ny, self.full.copy(), self.real_valued))
 
     def finish(self, params):
         return Trajectory(
@@ -211,50 +240,62 @@ class _Recorder:
         )
 
 
-def _if_rk4(state, e_half, dt, n_steps, rhs_into, record):
+def _if_rk4(state, e_half, dt, n_steps, bind_rhs, record):
     """Advance ``state`` in place by ``n_steps`` IF-RK4 steps of size ``dt``.
 
     With E = ``e_half`` = exp(-nu |k|^2 dt/2) on the layout of ``state``
-    and R the non-diffusive right-hand side, which ``rhs_into(src, t, out,
-    scratch)`` writes into ``out`` (``scratch`` may be overwritten), a step
-    evaluates in place, in this order, ka = R(w, t), kb = R(E (w + dt/2 ka)),
-    kc = R(E w + dt/2 kb) (both at t + dt/2), kd = R(E^2 w + dt (E kc),
-    t + dt) and w <- E^2 w + dt/6 (E^2 ka + 2 (E (kb + kc)) + kd).
+    and R the non-diffusive right-hand side, a step evaluates in place, in
+    this order, ka = R(w, t), kb = R(E (w + dt/2 ka)), kc = R(E w + dt/2 kb)
+    (both at t + dt/2), kd = R(E^2 w + dt (E kc), t + dt) and
+    w <- E^2 w + dt/6 (E^2 ka + 2 (E (kb + kc)) + kd).
     ``record(step, state)`` runs at step 0 and after every step.
 
-    E and E^2 are cast once to the dtype of ``state``: a real factor would
-    be cast through a buffer on every multiply.  Their imaginary parts are
-    +0, so each product is the one numpy formed after that cast.
+    The right-hand side is bound once per stage, before the first step:
+    ``bind_rhs(src, out, scratch, first)`` returns ``rhs(t)``, which writes
+    R(src, t) into ``out`` and may overwrite ``scratch``.  It is called with
+    ``(state, ka)``, then ``(t1, kb)``, ``(t1, kc)`` and ``(t1, kd)``, all
+    with the scratch ``t2``; ``first`` is true for the stage that reads
+    ``state``.  So a binder builds its views once, and the step loop makes
+    no view and converts no scalar.
+
+    E, E^2 and the scalars dt/2, dt, 2 and dt/6 are cast once to the dtype
+    of ``state``: a real operand would be cast through a buffer on every
+    multiply, and a Python scalar converted on every call.  Their imaginary
+    parts are +0, so each product is the one numpy formed after that cast.
     """
+    mul, add = np.multiply, np.add
     e_full = (e_half * e_half).astype(state.dtype)
     e_half = e_half.astype(state.dtype)
+    half_dt, full_dt, two, sixth_dt = (np.asarray(x, dtype=state.dtype) for x in (dt / 2, dt, 2.0, dt / 6))
     ka, kb, kc, kd, t1, t2, t3 = (np.empty_like(state) for _ in range(7))
+    rhs_a = bind_rhs(state, ka, t2, True)
+    rhs_b, rhs_c, rhs_d = (bind_rhs(t1, k, t2, False) for k in (kb, kc, kd))
     record(0, state)
     for n in range(n_steps):
         t = n * dt
-        rhs_into(state, t, ka, t2)
-        np.multiply(ka, dt / 2, out=t1)
-        t1 += state
-        t1 *= e_half
-        rhs_into(t1, t + dt / 2, kb, t2)
-        np.multiply(state, e_half, out=t1)
-        np.multiply(kb, dt / 2, out=t3)
-        t1 += t3
-        rhs_into(t1, t + dt / 2, kc, t2)
-        np.multiply(kc, e_half, out=t1)
-        t1 *= dt
-        np.multiply(state, e_full, out=t2)
-        t1 += t2
-        rhs_into(t1, t + dt, kd, t2)
-        ka *= e_full
-        kb += kc
-        kb *= e_half
-        kb *= 2.0
-        ka += kb
-        ka += kd
-        ka *= dt / 6
-        state *= e_full
-        state += ka
+        t_half = t + dt / 2
+        rhs_a(t)
+        mul(ka, half_dt, out=t1)
+        add(t1, state, out=t1)
+        mul(t1, e_half, out=t1)
+        rhs_b(t_half)
+        mul(state, e_half, out=t1)
+        mul(kb, half_dt, out=t3)
+        add(t1, t3, out=t1)
+        rhs_c(t_half)
+        mul(kc, e_half, out=t1)
+        mul(t1, full_dt, out=t1)
+        mul(state, e_full, out=t3)  # E^2 w, reused in the update
+        add(t1, t3, out=t1)
+        rhs_d(t + dt)
+        mul(ka, e_full, out=ka)
+        add(kb, kc, out=kb)
+        mul(kb, e_half, out=kb)
+        mul(kb, two, out=kb)
+        add(ka, kb, out=ka)
+        add(ka, kd, out=ka)
+        mul(ka, sixth_dt, out=ka)
+        add(t3, ka, out=state)
         record(n + 1, state)
 
 
@@ -286,6 +327,11 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     comment); ``params["flushed_parts"]`` is the number of nonzero parts
     flushed from the full array, so a part of a column l >= 1 of a
     reality-flagged field counts twice, once more for its mirror in -l.
+
+    ``params["advective_number"]`` is dt |a| max|l| over the advanced
+    block (0 for a block of only l = 0).  It bounds |omega| dt for every
+    advective frequency omega of the run, so above ``ADVECTIVE_LIMIT``
+    (module comment) a ``RuntimeWarning`` is raised before the first step.
     """
     nx, ny = w0.nx, w0.ny
     dt = config.dt
@@ -303,22 +349,45 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     # complex coefficients with +0 imaginary parts (see _if_rk4)
     fm, fp = (f.astype(complex) for f in _k_neighbours(_coupling_factor(ks, ls, variant)))
     lpref = -(ls / 2.0)
-    shear = np.zeros(lpref.shape, dtype=complex)
 
     state = w0.coeffs[:, lo:hi].copy()
     parts = state.view(float)
     flushed = 0
+    advective = dt * abs(a) * (max(abs(lo - ny), abs(hi - 1 - ny)) if hi > lo else 0)
+    if advective > ADVECTIVE_LIMIT:
+        warnings.warn(
+            f"advective number dt |a| max|l| = {advective:.3g} exceeds 2 sqrt(2) = "
+            f"{ADVECTIVE_LIMIT:.4g}, the end of RK4's stability interval on the imaginary axis",
+            RuntimeWarning,
+        )
 
-    def adv_into(src, t, out, scratch):
+    # the shear row a e^{-nu t} lpref, shared by the four stages and
+    # recomputed only when the stage time changes
+    shear = np.zeros(lpref.shape, dtype=complex)
+    shear_re = shear.real  # shear.imag stays +0
+    shear_t = None
+    fm_hi, fp_lo = fm[1:], fp[:-1]
+
+    def bind_adv(src, out, scratch, first):
         # out = lpref * a e^{-nu t} * (fm * src(k-1) - fp * src(k+1))
-        np.multiply(fm[1:, :], src[:-1, :], out=out[1:, :])
-        out[0, :] = 0.0
-        np.multiply(fp[:-1, :], src[1:, :], out=scratch[:-1, :])
-        out[:-1, :] -= scratch[:-1, :]
-        np.multiply(lpref, a * math.exp(-nu * t), out=shear.real)  # shear.imag stays +0
-        out *= shear
+        src_lo, src_hi = src[:-1], src[1:]
+        out_hi, out_lo, out_0 = out[1:], out[:-1], out[0]
+        scratch_lo = scratch[:-1]
 
-    rec = _Recorder(nx, ny, w0.real_valued, n_steps, config.sample_every, extra_diagnostics, (lo, hi))
+        def adv(t):
+            nonlocal shear_t
+            np.multiply(fm_hi, src_lo, out=out_hi)
+            out_0.fill(0.0)
+            np.multiply(fp_lo, src_hi, out=scratch_lo)
+            np.subtract(out_lo, scratch_lo, out=out_lo)
+            if t != shear_t:
+                np.multiply(lpref, a * math.exp(-nu * t), out=shear_re)
+                shear_t = t
+            np.multiply(out, shear, out=out)
+
+        return adv
+
+    rec = _Recorder(nx, ny, w0.real_valued, n_steps, config.sample_every, extra_diagnostics, (lo, hi), state)
 
     def record(step, w):
         nonlocal flushed
@@ -329,9 +398,9 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
             if w0.real_valued:  # the mirrors of the columns l >= 1
                 flushed += int(np.count_nonzero(tiny[:, 2:]))
             parts[tiny] = 0.0
-        rec.record(step, step * dt, w)
+        rec.record(step, step * dt)
 
-    _if_rk4(state, e_half, dt, n_steps, adv_into, record)
+    _if_rk4(state, e_half, dt, n_steps, bind_adv, record)
     return rec.finish(
         {
             "kind": "linear",
@@ -341,6 +410,7 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
             "dt": dt,
             "t_final": n_steps * dt,
             "flushed_parts": flushed,
+            "advective_number": advective,
         }
     )
 
@@ -360,7 +430,8 @@ def _half_spectrum_advection(m):
     ``advect_into(w, out)`` writes -N(w) into ``out``, N the transform of
     u . grad w with the 2/3-rule mask |k|, |l| <= (m - 1) // 3 and a zero
     mean, and returns the (4, m, m) grid values whose planes 0 and 1 are
-    the velocity u1, u2 of ``w``.
+    the velocity u1, u2 of ``w``.  The column l = 0 of ``out`` is exactly
+    conjugate-symmetric, out(-k, 0) == conj(out(k, 0)).
     """
     kx, ky = _half_wavenumbers(m)
     k2_safe = kx * kx + ky * ky
@@ -385,6 +456,9 @@ def _half_spectrum_advection(m):
         np.fft.rfft2(grid[2], out=out)
         out *= neg_mask
         out[0, 0] = 0.0
+        # k and -k of the column l = 0 are both stored; rfft2 leaves them
+        # conjugate only to rounding, so write the l = 0, k < 0 half from k > 0
+        np.conjugate(out[cut:0:-1, 0], out=out[m - cut :, 0])
         return grid
 
     return advect_into
@@ -439,10 +513,13 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
     dx = 2 * math.pi / m
     max_cfl = 0.0
 
-    def rhs_into(w, t, out, scratch):
-        nonlocal max_cfl
-        grid = advect_into(w, out)
-        if w is state:  # the first stage: the velocity at the step's start
+    def bind_rhs(w, out, scratch, first):
+        if not first:
+            return lambda t: advect_into(w, out)
+
+        def rhs(t):  # the first stage: the velocity at the step's start
+            nonlocal max_cfl
+            grid = advect_into(w, out)
             cfl = float(np.abs(grid[:2]).max()) * dt / dx
             if cfl > 1.0 >= max_cfl:  # warn on the first step over the limit
                 warnings.warn(
@@ -452,17 +529,20 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
                 )
             max_cfl = max(max_cfl, cfl)
 
+        return rhs
+
     # the columns l = 0..cut of the |k|, |l| <= cut block, read off the
     # half-spectrum in one gather
     rows = np.arange(-cut, cut + 1) % m
     block = np.empty((2 * cut + 1, cut + 1), dtype=complex)
-    rec = _Recorder(cut, cut, True, n_steps, config.sample_every, extra_diagnostics, (cut, 2 * cut + 1))
+    rec = _Recorder(cut, cut, True, n_steps, config.sample_every, extra_diagnostics, (cut, 2 * cut + 1), block)
+    head = state[:, : cut + 1]
 
     def record(step, w):
-        np.take(w[:, : cut + 1], rows, axis=0, out=block)
-        rec.record(step, step * dt, block)
+        np.take(head, rows, axis=0, out=block)
+        rec.record(step, step * dt)
 
-    _if_rk4(state, e_half, dt, n_steps, rhs_into, record)
+    _if_rk4(state, e_half, dt, n_steps, bind_rhs, record)
     return rec.finish(
         {
             "kind": "nonlinear",

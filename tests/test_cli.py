@@ -171,6 +171,7 @@ class TestEvolveCommand:
                      "--dt", "0.1", "--out-prefix", prefix]) == 0
         manifest = json.loads((tmp_path / "seeded.manifest.json").read_text())
         assert manifest["params"]["seed"] == 7
+        assert manifest["params"]["advective_number"] == 0.1 * 1.0 * 4  # dt |a| max|l|
         env = manifest["environment"]
         assert env["numpy"] == np.__version__
         assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,34 @@ class TestEvolveLinear:
         assert same_bits(got.coeffs, want)
         assert conjugate_asymmetry(got) == 0.0
         assert traj.diagnostics["l2"][0] == math.sqrt(float((np.abs(want) ** 2).sum()))
+
+    @pytest.mark.parametrize("dt, warns", [(0.05, True), (0.04, False)])
+    def test_advective_number_guard(self, dt, warns):
+        # criterion 4's field: dt |a| max|l| = 64 dt against the RK4 limit
+        # 2 sqrt(2) = 2.83, so the limit lies between dt = 0.04 and 0.05
+        w0 = bf.remove_anomalous(bf.random_field(64, 64, seed=11))
+        cfg = bf.IntegratorConfig(dt=dt, t_final=dt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = bf.evolve_linear(w0, 1e-3, 1.0, "full", cfg)
+        assert traj.params["advective_number"] == dt * 64
+        assert [str(w.message).startswith("advective number") for w in caught] == ([True] if warns else [])
+        assert all(w.category is RuntimeWarning for w in caught)
+
+    def test_advective_number_of_the_advanced_block(self):
+        # dt |a| max|l| over the block: 0 for the column l = 0 alone and for
+        # the empty block of an unflagged zero field; a flagged field
+        # advances l = 0..ny whatever it holds
+        cfg = bf.IntegratorConfig(dt=0.25, t_final=0.25)
+        cases = [
+            (bf.mode_field(4, 4, {(1, 0): 1.0}), 0.0),
+            (bf.SpectralField(4, 4), 0.0),
+            (bf.zero_field(4, 4), 0.25 * 2.0 * 4),
+            (bf.seeded_row_field(4, 4, -3, 0), 0.25 * 2.0 * 3),
+            (bf.mode_field(4, 4, {(1, 0): 0.5, (-1, 0): 0.5}, real_valued=True), 0.25 * 2.0 * 4),
+        ]
+        for w0, want in cases:
+            assert bf.evolve_linear(w0, 0.01, -2.0, "full", cfg).params["advective_number"] == want
 
     def test_diagnostics_rederivable_from_snapshots(self):
         w0 = bf.random_field(6, 6, 1)
@@ -153,9 +182,10 @@ class TestLinearMatchesFullArrayReference:
             (lambda: bf.seeded_row_field(8, 6, 2, 4), "full"),
             (lambda: two_column_field(8, 6, 5), "full"),
             (lambda: real_coefficient_field(8, 6, 6), "full"),
+            (lambda: bf.seeded_row_field(48, 2, 2, 1), "approximate"),  # the hypo workload's shape
         ],
         ids=["anomalous-free", "anomalous-free-approximate", "random", "zero", "one-column",
-             "two-columns", "real-coefficients"],
+             "two-columns", "real-coefficients", "hypo-shaped"],
     )
     def test_every_snapshot_equal(self, make, variant):
         w0 = make()
@@ -372,7 +402,20 @@ class TestEvolveNonlinear:
         w0 = bf.random_field(6, 6, 3)
         cfg = bf.IntegratorConfig(dt=1e-3, t_final=0.1, sample_every=25, grid=32)
         traj = bf.evolve_nonlinear(w0, 0.01, cfg)
-        assert max(conjugate_asymmetry(f) for f in traj.fields) < 1e-12
+        assert max(conjugate_asymmetry(f) for f in traj.fields) == 0.0
+
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_rhs_l0_column_exactly_conjugate(self, m):
+        # the half-spectrum stores k and -k of the column l = 0, which rfft2
+        # leaves conjugate only to rounding
+        n = (m - 1) // 3
+        half = np.zeros((m, m // 2 + 1), dtype=complex)
+        half[np.arange(-n, n + 1) % m, : n + 1] = bf.random_field(n, n, 5).coeffs[:, n:]
+        out = np.empty_like(half)
+        bf.evolution._half_spectrum_advection(m)(half, out)
+        col = out[:, 0]
+        assert np.abs(col).max() > 0
+        assert np.array_equal(col[-1:0:-1], np.conj(col[1:]))  # out(-k, 0) == conj(out(k, 0))
 
     def test_recorded_from_block(self):
         # every step's diagnostics are those of the snapshot the recorder
