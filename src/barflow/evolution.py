@@ -6,18 +6,25 @@ the diffusion exp(-nu (k^2 + l^2) dt) is applied exactly and the rest
 gets classical RK4 on the transformed variable.  The right-hand side is
 supplied as a binder, ``bind_rhs(src, out, scratch, first) -> rhs(t)``,
 which the core calls once per stage before the first step, so each stage's
-views are built once and the step loop makes none.  The linear generator is
-nonautonomous through the shear amplitude a e^{-nu t}, evaluated at the
-RK stage times so the scheme keeps its fourth order.  Its columns of
+views are built once and the step loop makes none.  The core steps over a
+range of step numbers and stops early when the record hook asks it to.
+The linear generator is nonautonomous through the shear amplitude
+a e^{-nu t}, evaluated at the RK stage times so the scheme keeps its
+fourth order.  Its columns of
 fixed l never mix, so it advances only the block of columns that can be
-nonzero: l >= 0 for a reality-flagged field, whose columns l < 0 are the
-conjugate flips of the columns l > 0, and otherwise the span of the
-columns populated at t = 0.  The flush of tiny parts (below) runs on that
-block, and ``params["flushed_parts"]`` counts the parts of the full array
-it stands for: a part flushed from a column l >= 1 of a reality-flagged
-field counts twice.  Its advective number dt |a| max|l| over the block
-is ``params["advective_number"]``; over ``ADVECTIVE_LIMIT`` = 2 sqrt(2)
-it warns before the first step.
+nonzero: at first l >= 0 for a reality-flagged field, whose columns l < 0
+are the conjugate flips of the columns l > 0, and otherwise the span of
+the columns populated at t = 0.  A column of exact zeros stays exactly
+zero, so after each flush of tiny parts (below) the block narrows to the
+span of its columns that still hold a nonzero part (a flagged block keeps
+l = 0 as its first column), and the run resumes on copies of those
+columns; ``params["column_steps"]`` is the sum of the block's width over
+the steps.  The flush runs on the block, and ``params["flushed_parts"]``
+counts the parts of the full array it stands for: a part flushed from a
+column l >= 1 of a reality-flagged field counts twice.  Its advective
+number dt |a| max|l| over the initial block is
+``params["advective_number"]``; over ``ADVECTIVE_LIMIT`` = 2 sqrt(2) it
+warns before the first step.
 
 The pseudo-spectral solver keeps its state on the real half-spectrum
 (numpy's ``rfft2`` layout), so each right-hand side costs one batched
@@ -38,9 +45,10 @@ builds the full array, only on the steps that hand a field out: snapshot
 steps, the final step, and every step when extra diagnostics are present.
 It has one mirror rule: the columns l < 0 of a reality-flagged field are
 the conjugate flip of the columns l > 0, with every zero imaginary part
-written as +0.  The benchmark tracer's per-step clock is an extra
-diagnostic, so traced runs, like ``decay_check`` with its X-norm, build
-the full array at every step, and traced step times include that work.
+written as +0; a column a narrowed run has dropped, and its mirror, hold
++0.  The benchmark tracer's per-step clock is an extra diagnostic, so
+traced runs, like ``decay_check`` with its X-norm, build the full array
+at every step, and traced step times include that work.
 """
 
 from __future__ import annotations
@@ -139,16 +147,18 @@ class _Recorder:
 
     :meth:`record` reads ``block``, the array an integrator advances or
     gathers in place, so every view of it and of the reused arrays below
-    is built once, here.  It holds the columns ``cols = (lo, hi)`` of the
-    full ``(2 nx + 1) x (2 ny + 1)`` array; for a reality-flagged field
-    the block is the columns l >= 0.  ``|block|^2``
+    is built once per block, by :meth:`bind`.  It holds the columns
+    ``cols = (lo, hi)`` of the full ``(2 nx + 1) x (2 ny + 1)`` array; for
+    a reality-flagged field ``lo`` is the column l = 0.  ``|block|^2``
     goes into those columns of one reused full-shape array, whose other
     columns are 0, or for a flagged field the flip of the columns l > 0,
     as |conj x| == |x|; the whole-array sums then run, so ``l2``,
     ``enstrophy`` and ``grad_norm_sq`` are those of the full array bit for
-    bit.  ``max_pq`` reads the block's columns l = 0 and +-1: the row
-    l = -1 of a flagged field mirrors the row l = +1 exactly, and a block
-    with no column |l| <= 1 gives 0.0.
+    bit.  A linear run rebinds a narrower block once its other columns are
+    exact zeros; the sums still run over the whole array, in one order.
+    ``max_pq`` reads the block's columns l = 0 and +-1: the row l = -1 of
+    a flagged field mirrors the row l = +1 exactly, and a block with no
+    column |l| <= 1 gives 0.0.
 
     The full array is built here alone, and only on the steps that hand it
     out: snapshot steps, the final step, and every step when extra
@@ -169,22 +179,10 @@ class _Recorder:
         ks = np.arange(-nx, nx + 1)[:, None]
         ls = np.arange(-ny, ny + 1)[None, :]
         self.lap = (ks * ks + ls * ls).astype(float)
-        self.sq = np.zeros_like(self.lap)
+        self.sq = np.empty_like(self.lap)
         self.lap_sq = np.empty_like(self.lap)
-        self.full = np.zeros(self.lap.shape, dtype=complex)
-        lo, hi = cols
-        self.block = block
-        self.sq_block = self.sq[:, lo:hi]
-        self.full_block = self.full[:, lo:hi]
-        if real_valued:  # the columns l < 0 and the columns l > 0 they mirror
-            self.sq_mirror, self.sq_mirrored = self.sq[:, :ny], self.sq[::-1, : ny : -1]
-            self.full_mirror, self.block_mirrored = self.full[:, :ny], block[::-1, ny:0:-1]
-            self.full_mirror_imag = self.full_mirror.imag
-        # max_pq reads the column l = 0 and the columns l = +-1 of the block
-        self.shear_col = block[:, ny - lo] if lo <= ny < hi else None
-        self.shear_abs = None if self.shear_col is None else np.empty(self.shear_col.shape)
-        pm1 = [ny + l - lo for l in (-1, 1) if lo <= ny + l < hi]
-        self.pm1 = block[:, pm1[0] : pm1[-1] + 1 : 2] if pm1 else None
+        self.full = np.empty(self.lap.shape, dtype=complex)
+        self.bind(cols, block)
         # one read-only field over the reused full array, handed to every
         # extra diagnostic
         self.view = _wrap(nx, ny, self.full.view(), real_valued)
@@ -196,6 +194,29 @@ class _Recorder:
         self.extra_out = [(fn, self.diag[name]) for name, fn in self.extra.items()]
         self.field_times = []
         self.fields = []
+
+    def bind(self, cols, block):
+        """Read from now on ``block``, the columns ``cols = (lo, hi)`` of
+        the full array, which must hold every nonzero part; for a
+        reality-flagged field ``lo`` is the column l = 0.  Every other
+        column, and its mirror, reads +0 from here on."""
+        ny = self.ny
+        lo, hi = cols
+        self.sq.fill(0.0)
+        self.full.fill(0.0)
+        self.block = block
+        self.sq_block = self.sq[:, lo:hi]
+        self.full_block = self.full[:, lo:hi]
+        if self.real_valued:  # the columns l < 0 and the block's columns l > 0 they mirror
+            neg = slice(2 * ny + 1 - hi, ny)
+            self.sq_mirror, self.sq_mirrored = self.sq[:, neg], self.sq[::-1, hi - 1 : ny : -1]
+            self.full_mirror, self.block_mirrored = self.full[:, neg], block[::-1, hi - lo - 1 : 0 : -1]
+            self.full_mirror_imag = self.full_mirror.imag
+        # max_pq reads the column l = 0 and the columns l = +-1 of the block
+        self.shear_col = block[:, ny - lo] if lo <= ny < hi else None
+        self.shear_abs = None if self.shear_col is None else np.empty(self.shear_col.shape)
+        pm1 = [ny + l - lo for l in (-1, 1) if lo <= ny + l < hi]
+        self.pm1 = block[:, pm1[0] : pm1[-1] + 1 : 2] if pm1 else None
 
     def record(self, step, t):
         """Record step ``step`` at time ``t`` from the block, which holds
@@ -240,15 +261,20 @@ class _Recorder:
         )
 
 
-def _if_rk4(state, e_half, dt, n_steps, bind_rhs, record):
-    """Advance ``state`` in place by ``n_steps`` IF-RK4 steps of size ``dt``.
+def _if_rk4(state, e_half, dt, steps, bind_rhs, record):
+    """Advance ``state`` in place by IF-RK4 steps of size ``dt``, one per
+    step number ``n`` of the range ``steps``, each from t = n dt.
 
     With E = ``e_half`` = exp(-nu |k|^2 dt/2) on the layout of ``state``
     and R the non-diffusive right-hand side, a step evaluates in place, in
     this order, ka = R(w, t), kb = R(E (w + dt/2 ka)), kc = R(E w + dt/2 kb)
     (both at t + dt/2), kd = R(E^2 w + dt (E kc), t + dt) and
     w <- E^2 w + dt/6 (E^2 ka + 2 (E (kb + kc)) + kd).
-    ``record(step, state)`` runs at step 0 and after every step.
+    After the step from ``n`` it calls ``record(n + 1, state)``; callers
+    record step 0 themselves.  If that call returns true, the core stops
+    there and returns ``n + 1``, else it returns ``steps.stop`` after the
+    last step.  So a caller may stop the run, change the layout of
+    ``state`` and resume with ``range(stop, ...)``.
 
     The right-hand side is bound once per stage, before the first step:
     ``bind_rhs(src, out, scratch, first)`` returns ``rhs(t)``, which writes
@@ -270,8 +296,7 @@ def _if_rk4(state, e_half, dt, n_steps, bind_rhs, record):
     ka, kb, kc, kd, t1, t2, t3 = (np.empty_like(state) for _ in range(7))
     rhs_a = bind_rhs(state, ka, t2, True)
     rhs_b, rhs_c, rhs_d = (bind_rhs(t1, k, t2, False) for k in (kb, kc, kd))
-    record(0, state)
-    for n in range(n_steps):
+    for n in steps:
         t = n * dt
         t_half = t + dt / 2
         rhs_a(t)
@@ -296,7 +321,16 @@ def _if_rk4(state, e_half, dt, n_steps, bind_rhs, record):
         add(ka, kd, out=ka)
         mul(ka, sixth_dt, out=ka)
         add(t3, ka, out=state)
-        record(n + 1, state)
+        if record(n + 1, state):
+            return n + 1
+    return steps.stop
+
+
+def _live_span(block):
+    """``(first, stop)``: the span of the columns of ``block`` that hold a
+    nonzero part, ``(0, 0)`` if there is none."""
+    live = np.flatnonzero(block.any(axis=0))
+    return (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
 
 
 def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
@@ -308,18 +342,24 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     with stage-time evaluation.  Columns of fixed l never mix, and the
     l = 0 column decays purely diffusively.
 
-    So only one contiguous block of columns is advanced: the columns
-    l >= 0 of a reality-flagged field, else the span of the columns
-    populated at t = 0 (the others stay exactly 0).  Every step, step 0
-    included, is recorded from the block (``_Recorder``), and the full
-    array is the block with, for a reality-flagged field, its columns
-    l < 0 filled by the conjugate flip of the columns l > 0.  So a flagged
-    ``w0`` is recorded as that projection from step 0 on: the asymmetry
-    it may carry (up to the 1e-8 relative that :class:`SpectralField`
-    accepts) is dropped.  The scheme keeps conjugate symmetry in value but
-    not in the sign of a zero part, so the flip writes each zero
-    imaginary part as +0; on the fields tried, this reproduces the
-    full-array scheme bit for bit.
+    So only one contiguous block of columns is advanced, at first the
+    columns l >= 0 of a reality-flagged field, else the span of the columns
+    populated at t = 0 (the others stay exactly 0).  A column of exact
+    zeros stays exactly zero, so after each flush (below) the block narrows
+    to the span of its columns that still hold a nonzero part; a flagged
+    block keeps l = 0 as its first column and narrows from the right only.
+    The run then resumes on contiguous copies of those columns of the
+    state and of the step's coefficients.  ``params["column_steps"]`` is
+    the sum of the block's width over the steps.
+
+    Every step, step 0 included, is recorded from the block
+    (``_Recorder``), and the full array is the block, for a reality-flagged
+    field with its columns l < 0 filled by the conjugate flip of the
+    columns l > 0, and +0 in every other column.  The scheme keeps
+    conjugate symmetry in value but not in the sign of a zero part, so the
+    flip writes each zero imaginary part as +0.  So every snapshot equals
+    that of the full-array scheme in value, and bit for bit on each column
+    it advances that the full-array scheme leaves nonzero.
 
     ``extra_diagnostics`` maps names to callables ``f(field, t) -> float``
     evaluated at every step (e.g. a weighted-norm diagnostic).  Tiny parts
@@ -328,20 +368,17 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     flushed from the full array, so a part of a column l >= 1 of a
     reality-flagged field counts twice, once more for its mirror in -l.
 
-    ``params["advective_number"]`` is dt |a| max|l| over the advanced
-    block (0 for a block of only l = 0).  It bounds |omega| dt for every
-    advective frequency omega of the run, so above ``ADVECTIVE_LIMIT``
-    (module comment) a ``RuntimeWarning`` is raised before the first step.
+    ``params["advective_number"]`` is dt |a| max|l| over the block the run
+    starts with (0 for a block of only l = 0).  It bounds |omega| dt for
+    every advective frequency omega of the run, so above
+    ``ADVECTIVE_LIMIT`` (module comment) a ``RuntimeWarning`` is raised
+    before the first step.
     """
     nx, ny = w0.nx, w0.ny
     dt = config.dt
     n_steps = config.n_steps
 
-    if w0.real_valued:
-        lo, hi = ny, 2 * ny + 1
-    else:
-        populated = np.flatnonzero(w0.coeffs.any(axis=0))
-        lo, hi = (int(populated[0]), int(populated[-1]) + 1) if populated.size else (0, 0)
+    lo, hi = (ny, 2 * ny + 1) if w0.real_valued else _live_span(w0.coeffs)
     ks = np.arange(-nx, nx + 1)[:, None]
     ls = np.arange(lo - ny, hi - ny)[None, :]
     lap = (ks * ks + ls * ls).astype(float)
@@ -351,7 +388,6 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     lpref = -(ls / 2.0)
 
     state = w0.coeffs[:, lo:hi].copy()
-    parts = state.view(float)
     flushed = 0
     advective = dt * abs(a) * (max(abs(lo - ny), abs(hi - 1 - ny)) if hi > lo else 0)
     if advective > ADVECTIVE_LIMIT:
@@ -361,18 +397,14 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
             RuntimeWarning,
         )
 
-    # the shear row a e^{-nu t} lpref, shared by the four stages and
-    # recomputed only when the stage time changes
-    shear = np.zeros(lpref.shape, dtype=complex)
-    shear_re = shear.real  # shear.imag stays +0
-    shear_t = None
-    fm_hi, fp_lo = fm[1:], fp[:-1]
-
     def bind_adv(src, out, scratch, first):
-        # out = lpref * a e^{-nu t} * (fm * src(k-1) - fp * src(k+1))
+        # out = lpref * a e^{-nu t} * (fm * src(k-1) - fp * src(k+1)), with
+        # the shear row a e^{-nu t} lpref of the current block shared by the
+        # four stages and recomputed only when the stage time changes
         src_lo, src_hi = src[:-1], src[1:]
         out_hi, out_lo, out_0 = out[1:], out[:-1], out[0]
         scratch_lo = scratch[:-1]
+        fm_hi, fp_lo, pref, row, row_re = fm[1:], fp[:-1], lpref, shear, shear.real  # shear.imag stays +0
 
         def adv(t):
             nonlocal shear_t
@@ -381,26 +413,44 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
             np.multiply(fp_lo, src_hi, out=scratch_lo)
             np.subtract(out_lo, scratch_lo, out=out_lo)
             if t != shear_t:
-                np.multiply(lpref, a * math.exp(-nu * t), out=shear_re)
+                np.multiply(pref, a * math.exp(-nu * t), out=row_re)
                 shear_t = t
-            np.multiply(out, shear, out=out)
+            np.multiply(out, row, out=out)
 
         return adv
 
     rec = _Recorder(nx, ny, w0.real_valued, n_steps, config.sample_every, extra_diagnostics, (lo, hi), state)
+    live = None
 
     def record(step, w):
-        nonlocal flushed
-        if step and step % FLUSH_EVERY == 0:
-            tiny = np.abs(parts) < FLUSH_BELOW
-            tiny &= parts != 0.0
-            flushed += int(np.count_nonzero(tiny))
-            if w0.real_valued:  # the mirrors of the columns l >= 1
-                flushed += int(np.count_nonzero(tiny[:, 2:]))
-            parts[tiny] = 0.0
+        nonlocal flushed, live
+        if step % FLUSH_EVERY:
+            rec.record(step, step * dt)
+            return False
+        parts = w.view(float)
+        tiny = np.abs(parts) < FLUSH_BELOW
+        tiny &= parts != 0.0
+        flushed += int(np.count_nonzero(tiny))
+        if w0.real_valued:  # the mirrors of the columns l >= 1
+            flushed += int(np.count_nonzero(tiny[:, 2:]))
+        parts[tiny] = 0.0
         rec.record(step, step * dt)
+        first, stop = _live_span(w)
+        live = (0, max(stop, 1)) if w0.real_valued else (first, stop)
+        return live[1] - live[0] < w.shape[1]
 
-    _if_rk4(state, e_half, dt, n_steps, bind_adv, record)
+    rec.record(0, 0.0)
+    start, column_steps = 0, 0
+    while start < n_steps:  # one pass per block, from its first step
+        shear, shear_t = np.zeros(lpref.shape, dtype=complex), None  # the block's shear row
+        stop = _if_rk4(state, e_half, dt, range(start, n_steps), bind_adv, record)
+        column_steps += (stop - start) * state.shape[1]
+        start = stop
+        if start < n_steps:  # narrow to the live columns
+            first, end = live
+            state, e_half, fm, fp, lpref = (x[:, first:end].copy() for x in (state, e_half, fm, fp, lpref))
+            lo, hi = lo + first, lo + end
+            rec.bind((lo, hi), state)
     return rec.finish(
         {
             "kind": "linear",
@@ -411,6 +461,7 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
             "t_final": n_steps * dt,
             "flushed_parts": flushed,
             "advective_number": advective,
+            "column_steps": column_steps,
         }
     )
 
@@ -542,7 +593,8 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
         np.take(head, rows, axis=0, out=block)
         rec.record(step, step * dt)
 
-    _if_rk4(state, e_half, dt, n_steps, bind_rhs, record)
+    record(0, state)
+    _if_rk4(state, e_half, dt, range(n_steps), bind_rhs, record)
     return rec.finish(
         {
             "kind": "nonlinear",

@@ -45,7 +45,8 @@ class SpectralField:
         to the zero field.
     real_valued : bool
         Declares that the field represents a real-valued function, i.e.
-        what(-k, -l) = conj(what(k, l)).
+        what(-k, -l) = conj(what(k, l)) exactly, in value (a zero part may
+        differ from its mirror in sign); any asymmetry raises.
     """
 
     __slots__ = ("nx", "ny", "coeffs", "real_valued")
@@ -68,12 +69,8 @@ class SpectralField:
             raise ValueError("zero-mean violated: what(0, 0) must vanish")
         if real_valued:
             asym = conjugate_asymmetry_raw(coeffs)
-            scale = np.abs(coeffs).max()
-            if scale > 0 and asym > 1e-8 * scale:
-                raise ValueError(
-                    f"real_valued field lacks conjugate symmetry "
-                    f"(asymmetry {asym:.3e}, scale {scale:.3e})"
-                )
+            if asym > 0.0:
+                raise ValueError(f"real_valued field lacks conjugate symmetry (asymmetry {asym:.3e})")
         if copy:
             coeffs = coeffs.copy()
         coeffs.setflags(write=False)

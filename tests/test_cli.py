@@ -176,6 +176,17 @@ class TestEvolveCommand:
         assert env["numpy"] == np.__version__
         assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
+    def test_manifest_records_column_steps(self, tmp_path):
+        # two steps of the flagged block l = 0..4, which no flush narrows
+        prefix = str(tmp_path / "cols")
+        assert main(["evolve", "--init", "random-fast:7", "--kind", "linear",
+                     "--nu", "0.01", "--trunc", "4", "--t-final", "0.2",
+                     "--dt", "0.1", "--out-prefix", prefix]) == 0
+        manifest = json.loads((tmp_path / "cols.manifest.json").read_text())
+        assert manifest["params"]["column_steps"] == 2 * 5
+        header, _ = read_csv(prefix + "_diagnostics.csv")
+        assert "column_steps" not in header
+
     def test_with_x_norm_matches_snapshots(self, tmp_path):
         prefix = str(tmp_path / "xn")
         assert main(["evolve", "--init", "random-fast:3", "--kind", "linear",

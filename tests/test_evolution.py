@@ -40,23 +40,14 @@ class TestEvolveLinear:
         traj = bf.evolve_linear(bf.zero_field(4, 4), 0.01, 1.0, "full", cfg)
         assert traj.diagnostics["l2"].max() == 0.0
 
-    def test_step_zero_recorded_as_projection(self):
-        # a flagged field may carry an asymmetry the constructor accepts;
-        # step 0 already records its columns l >= 0 and their +0 mirror
+    def test_flagged_asymmetric_field_rejected(self):
+        # a flagged field is exactly conjugate-symmetric, so no asymmetry
+        # reaches the integrators
         c = bf.random_field(6, 6, 1).coeffs.copy()
         c[0, 0] += 1e-10  # what(-6, -6)
-        w0 = bf.SpectralField(6, 6, c, real_valued=True)
-        assert conjugate_asymmetry(w0) > 0.0
-        want = c.copy()
-        mirror = np.conj(c[::-1, 12:6:-1])  # the columns l = 6..1, k -> -k
-        mirror.imag += 0.0
-        want[:, :6] = mirror
-        cfg = bf.IntegratorConfig(dt=0.1, t_final=0.1)
-        traj = bf.evolve_linear(w0, 0.01, 1.0, "full", cfg)
-        got = traj.fields[0]
-        assert same_bits(got.coeffs, want)
-        assert conjugate_asymmetry(got) == 0.0
-        assert traj.diagnostics["l2"][0] == math.sqrt(float((np.abs(want) ** 2).sum()))
+        assert conjugate_asymmetry(bf.SpectralField(6, 6, c)) > 0.0
+        with pytest.raises(ValueError, match="conjugate symmetry"):
+            bf.SpectralField(6, 6, c, real_valued=True)
 
     @pytest.mark.parametrize("dt, warns", [(0.05, True), (0.04, False)])
     def test_advective_number_guard(self, dt, warns):
@@ -166,6 +157,44 @@ def same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def narrowed_columns(states, flagged):
+    """The columns of the full array that a narrowing run holds in its
+    block at each step of the reference ``states``, with their mirrors for
+    a reality-flagged field: the block it starts with, narrowed after each
+    ``FLUSH_EVERY``-th step (recorded before it narrows) to the columns
+    that are nonzero in the reference there, keeping l = 0 if flagged."""
+    ny = (states[0].shape[1] - 1) // 2
+    ls = np.arange(-ny, ny + 1)
+
+    def block(c):
+        live = ls[np.abs(c).any(axis=0)]
+        if flagged:
+            return np.abs(ls) <= np.abs(live).max(initial=0)
+        return (ls >= live.min()) & (ls <= live.max()) if live.size else np.zeros(ls.shape, bool)
+
+    keep = np.ones(ls.shape, bool) if flagged else block(states[0])
+    kept = []
+    for i, c in enumerate(states):
+        kept.append(keep)
+        if i and i % bf.evolution.FLUSH_EVERY == 0:
+            keep = block(c)
+    return kept
+
+
+def matches_narrowed_reference(got, ref, kept, flagged):
+    """A snapshot of a narrowing run against the full-array reference: the
+    same bits on every advanced column (l >= 0 if ``flagged``; the columns
+    l < 0 are then conjugate flips, which may differ in the sign of a zero
+    part) that is nonzero in the reference, equal in value everywhere, and
+    +0 in every part of the columns not ``kept``."""
+    nonzero = np.abs(ref).any(axis=0)
+    if flagged:
+        nonzero[: (ref.shape[1] - 1) // 2] = False
+    dropped = np.ascontiguousarray(got[:, ~kept])
+    return (same_bits(np.ascontiguousarray(got[:, nonzero]), np.ascontiguousarray(ref[:, nonzero]))
+            and np.array_equal(got, ref) and same_bits(dropped, np.zeros_like(dropped)))
+
+
 class TestLinearMatchesFullArrayReference:
     # evolve_linear advances only the columns that can be nonzero; every
     # snapshot of a run that stops short of the first flush step must still
@@ -271,6 +300,51 @@ class TestBlockRecordMatchesFullArray:
             assert same_bits(with_extra.diagnostics[name], traj.diagnostics[name]), name
 
 
+def test_block_integrator_matches_reference_property():
+    # random shapes, flags, populated columns, variants and step counts; at
+    # nu = 20 the columns |l| >= 4, 3 and 2 die by the flush steps 64, 128
+    # and 192, so the block narrows
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dt, a = 0.05, 1.5
+
+    @hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @hypothesis.example(nx=5, ny=6, flagged=False, columns={-6, -3, 0, 2, 5}, seed=3, nu=20.0,
+                        variant="full", n_steps=3 * bf.evolution.FLUSH_EVERY + 2)
+    @hypothesis.example(nx=4, ny=6, flagged=True, columns={0, 1, 4, 6}, seed=5, nu=20.0,
+                        variant="approximate", n_steps=2 * bf.evolution.FLUSH_EVERY + 1)
+    @hypothesis.given(
+        nx=st.integers(1, 6),
+        ny=st.integers(1, 6),
+        flagged=st.booleans(),
+        columns=st.sets(st.integers(-6, 6)),
+        seed=st.integers(0, 2**16),
+        nu=st.sampled_from([0.02, 4.0, 20.0]),
+        variant=st.sampled_from(["full", "approximate"]),
+        n_steps=st.integers(1, 3 * bf.evolution.FLUSH_EVERY + 2),
+    )
+    def check(nx, ny, flagged, columns, seed, nu, variant, n_steps):
+        ls = np.arange(-ny, ny + 1)
+        keep = np.isin(np.abs(ls) if flagged else ls, sorted(columns))
+        if flagged:
+            c = bf.random_field(nx, ny, seed).coeffs * keep  # zeroes l and -l together
+        else:
+            rng = np.random.default_rng(seed)
+            c = (rng.standard_normal((2 * nx + 1, 2 * ny + 1)) + 1j * rng.standard_normal((2 * nx + 1, 2 * ny + 1))) * keep
+            c[nx, ny] = 0.0
+        w0 = bf.SpectralField(nx, ny, c, real_valued=flagged)
+        want, flushed = reference_if_rk4(c, nu, a, dt, n_steps, approximate=variant == "approximate", flush=True)
+        traj = bf.evolve_linear(w0, nu, a, variant, bf.IntegratorConfig(dt=dt, t_final=n_steps * dt))
+        kept = narrowed_columns(want, flagged)
+        assert traj.params["flushed_parts"] == flushed
+        for step, (got, ref) in enumerate(zip(traj.fields, want)):
+            assert matches_narrowed_reference(got.coeffs, ref, kept[step], flagged), f"step {step}"
+        widths = [int(np.count_nonzero(k[ny:] if flagged else k)) for k in kept[1:]]
+        assert traj.params["column_steps"] == sum(widths)
+
+    check()
+
+
 class TestRecorderStorage:
     def test_peak_grows_by_one_float64_per_series_and_step(self):
         # a Python list grows by about 32 B per float it holds
@@ -334,13 +408,77 @@ class TestSubnormalFlush:
         want, flushed = reference_if_rk4(c, self.NU, self.A, self.DT, self.N_STEPS, flush=True)
         assert flushed > 0
         assert traj.params["flushed_parts"] == flushed
-        # the advanced columns l >= 0 hold the reference's bits; the columns
-        # l < 0 are their conjugate flips, equal to the reference in value
-        # but not in the sign of a part that underflowed to zero
-        n = self.N
+        # each advanced column l >= 0 that is nonzero in the reference holds
+        # its bits; the columns l < 0 are their conjugate flips, equal to the
+        # reference in value but not in the sign of a part that underflowed
+        # to zero; and the columns the run has dropped hold +0
+        kept = narrowed_columns(want, flagged=True)
         for i, (got, ref) in enumerate(zip(traj.fields, want)):
-            assert same_bits(got.coeffs[:, n:], ref[:, n:]), f"step {i}"
-            assert np.array_equal(got.coeffs, ref), f"step {i}"
+            assert matches_narrowed_reference(got.coeffs, ref, kept[i], flagged=True), f"step {i}"
+
+
+class TestNarrowing:
+    # the TestSubnormalFlush field at nu = 1 over three flush periods and a
+    # few steps: its block of 17 columns narrows to 15, 11 and 9
+    N, NU, A, DT, N_STEPS = 16, 1.0, 1.0, 0.05, 3 * bf.evolution.FLUSH_EVERY + 5
+
+    def flagged_field(self, clear_l0=False):
+        c = bf.random_field(self.N, self.N, 11).coeffs.copy()
+        sign = np.where(np.arange(-self.N, self.N + 1) % 2 == 0, 1.0, -1.0)[:, None]
+        c = (c + sign * c[::-1, :]) / 2
+        if clear_l0:
+            c[:, self.N] = 0.0
+        return bf.SpectralField(self.N, self.N, c, real_valued=True)
+
+    def check_run(self, w0, sample_every, extra=None):
+        """The trajectory, the reference states and the columns kept."""
+        want, flushed = reference_if_rk4(w0.coeffs, self.NU, self.A, self.DT, self.N_STEPS, flush=True)
+        cfg = bf.IntegratorConfig(dt=self.DT, t_final=self.N_STEPS * self.DT, sample_every=sample_every)
+        traj = bf.evolve_linear(w0, self.NU, self.A, "full", cfg, extra)
+        kept = narrowed_columns(want, w0.real_valued)
+        assert traj.params["flushed_parts"] == flushed
+        snapshot_steps = sorted({*range(0, self.N_STEPS + 1, sample_every), self.N_STEPS})
+        assert np.array_equal(traj.field_times, np.array(snapshot_steps) * self.DT)
+        for step, got in zip(snapshot_steps, traj.fields):
+            assert matches_narrowed_reference(got.coeffs, want[step], kept[step], w0.real_valued), f"step {step}"
+        names = ("l2", "enstrophy", "grad_norm_sq", "max_pq")
+        for step, ref in enumerate(want):
+            got = tuple(float(traj.diagnostics[name][step]) for name in names)
+            assert got == full_array_diagnostics(ref), f"step {step}"
+        # the block advanced into step i is the one the snapshot at i shows
+        ny = self.N
+        widths = [int(np.count_nonzero(k[ny:] if w0.real_valued else k)) for k in kept[1:]]
+        assert traj.params["column_steps"] == sum(widths)
+        assert traj.params["column_steps"] < self.N_STEPS * widths[0]
+        return traj, want, kept
+
+    @pytest.mark.parametrize("sample_every", [1, 50])
+    def test_flagged_run_narrows(self, sample_every):
+        # with sample_every = 50 the full array is last written at step 50,
+        # before the columns that die by step 64 are dropped
+        _, _, kept = self.check_run(self.flagged_field(), sample_every)
+        assert [int(np.count_nonzero(kept[i])) for i in (64, 65, 129, 193)] == [33, 29, 21, 17]
+
+    def test_x_norm_sees_the_narrowed_field(self):
+        nu, a = self.NU, self.A
+        extra = {"x_norm": bf.hypocoercivity.x_norm_diagnostic(nu, a)}
+        traj, want, _ = self.check_run(self.flagged_field(clear_l0=True), 1, extra)
+        for step, ref in enumerate(want):
+            x = bf.x_norm_sq(bf.SpectralField(self.N, self.N, ref), nu, a, step * self.DT)
+            assert traj.diagnostics["x_norm"][step] == math.sqrt(x), f"step {step}"
+
+    def test_unflagged_block_narrows_from_both_ends(self):
+        # columns l = -13..11: the two ends die at different flush steps
+        n = self.N
+        rng = np.random.default_rng(7)
+        c = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+        c[:, n - 13 : n + 12] = rng.standard_normal((2 * n + 1, 25)) + 1j * rng.standard_normal((2 * n + 1, 25))
+        c[n, n] = 0.0
+        _, _, kept = self.check_run(bf.SpectralField(n, n, c), 1)
+        ls = np.arange(-n, n + 1)
+        first, last = ls[kept[0]][[0, -1]], ls[kept[-1]][[0, -1]]
+        assert list(first) == [-13, 11]
+        assert last[0] > -13 and last[1] < 11
 
 
 def five_transform_rhs(w):

@@ -232,4 +232,10 @@ class TestImmutability:
         c[4, 3] = 1.0  # (1, 0) without its conjugate partner
         with pytest.raises(ValueError):
             bf.SpectralField(3, 3, c, real_valued=True)
+        # symmetry is exact: an asymmetry of 1e-12 on a unit field is rejected
+        c = bf.bar_state(1, 3, 3).coeffs.copy()
+        c[4, 3] += 1e-12
+        assert conjugate_asymmetry(bf.SpectralField(3, 3, c)) == pytest.approx(1e-12, rel=1e-3)
+        with pytest.raises(ValueError, match="conjugate symmetry"):
+            bf.SpectralField(3, 3, c, real_valued=True)
         assert conjugate_asymmetry(bf.bar_state(1, 3, 3)) == 0.0
