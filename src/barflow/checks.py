@@ -195,6 +195,58 @@ def check_anomalous_mode_exactness():
         _require(err == 0.0, f"adjoint null direction fails at m={m} ({err:.3e})")
 
 
+def check_dipole_derivative():
+    # (N(s + eps p) - N(s)) / eps, N the nonlinear solver's right-hand side,
+    # is the linearization about s applied to p: for the cos x bar through
+    # apply_bar_generator and for the cos x + cos y dipole through
+    # dipole_operator.  N is quadratic, and on grid 32 the 2/3 rule keeps
+    # every product of s and p (|k|, |l| <= 8) unaliased, so the remainder
+    # is exactly eps N(p) plus rounding: the relative error falls by a factor
+    # in [99, 101] from eps = 1e-3 to 1e-5.  The full generator weights each
+    # mode of origin by g, so the approximate one misses L_approx((g - 1) p);
+    # its error is at least that term's size less the full error (and 1e-12
+    # for rounding).
+    n, m = 8, 32
+    cut = (m - 1) // 3
+    advect = evolution._block_advection(m)
+    c = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    c[1:-1, 1:-1] = fields.random_field(n - 1, n - 1, 4, decay=0.05).coeffs  # |k|, |l| <= 7
+    p = fields.SpectralField(n, n, c)
+
+    def on_block(coeffs):  # the columns l >= 0 of an n x n array, on the solver's block
+        block = np.zeros((2 * cut + 1, cut + 1), dtype=complex)
+        block[cut - n : cut + n + 1, : n + 1] = coeffs[:, n:]
+        return block
+
+    def rhs(coeffs):
+        out = np.empty((2 * cut + 1, cut + 1), dtype=complex)
+        advect(on_block(coeffs), out)
+        return out
+
+    def errors(s, lp, scale):  # at eps = 1e-3 and 1e-5
+        return [np.abs((rhs(s + eps * c) - rhs(s)) / eps - on_block(lp)).max() / scale for eps in (1e-3, 1e-5)]
+
+    bar, lp_bar = fields.bar_state(1, n, n).coeffs, operators.apply_bar_generator(p, 0.0, 1.0).coeffs
+    scale = np.abs(lp_bar).max()
+    full = errors(bar, lp_bar, scale)
+    dipole = operators.dipole_operator(n, 0.0, 1.0)
+    flat = np.ravel_multi_index(tuple((dipole.modes + n).T), c.shape)
+    lp_dipole = np.zeros(c.shape, dtype=complex)
+    lp_dipole.flat[flat] = dipole.matrix @ c.flat[flat]
+    dipole_errors = errors(fields.dipole_state(1, n, n).coeffs, lp_dipole, np.abs(lp_dipole).max())
+    for name, (coarse, fine) in (("bar", full), ("dipole", dipole_errors)):
+        _require(99.0 <= coarse / fine <= 101.0,
+                 f"{name}: relative error {coarse:.3e} at eps = 1e-3 and {fine:.3e} at 1e-5, not O(eps)")
+
+    ks = np.arange(-n, n + 1)
+    g_minus_1 = fields.SpectralField(n, n, (operators._coupling_factor(ks[:, None], ks[None, :]) - 1.0) * c)
+    dropped = np.abs(operators.apply_bar_generator(g_minus_1, 0.0, 1.0, variant="approximate").coeffs).max() / scale
+    lp_approx = operators.apply_bar_generator(p, 0.0, 1.0, variant="approximate").coeffs
+    for err, full_err in zip(errors(bar, lp_approx, scale), full):
+        _require(err >= dropped - full_err - 1e-12,
+                 f"approximate: relative error {err:.3e} below the dropped term's {dropped:.3e} less {full_err:.3e}")
+
+
 # ------------------------------------------------------------- eigensolve
 
 def check_eigen_residual():
@@ -447,6 +499,7 @@ ALL_CHECKS = [
     ("operators/anomalous-generator-consistency", check_anomalous_generator_consistency),
     ("operators/symmetrized-stability", check_symmetrized_stability),
     ("operators/anomalous-mode-exactness", check_anomalous_mode_exactness),
+    ("operators/dipole-derivative", check_dipole_derivative),
     ("eigensolve/residual", check_eigen_residual),
     ("eigensolve/adjoint-spectrum", check_adjoint_spectrum),
     ("eigensolve/trace", check_trace),

@@ -26,23 +26,25 @@ number dt |a| max|l| over the initial block is
 ``params["advective_number"]``; over ``ADVECTIVE_LIMIT`` = 2 sqrt(2) it
 warns before the first step.
 
-The pseudo-spectral solver keeps its state on the real half-spectrum
-(numpy's ``rfft2`` layout), so each right-hand side costs one batched
-``irfft2`` and one ``rfft2``, and it checks the CFL number of every step
-from the velocity its first stage forms; the largest is
-``params["max_cfl"]``.
+The pseudo-spectral solver advances the block the 2/3 rule keeps, the
+columns l = 0..cut of the rows k = -cut..cut, cut = (m - 1) // 3 on a grid
+of m points: the layout the linear integrator advances for a
+reality-flagged field.  Only its right-hand side knows numpy's FFT layout:
+it scatters the block into a zero-padded half-spectrum and makes one
+batched inverse and one forward transform, each one axis at a time over
+the columns l = 0..cut only.  It checks the CFL number of every step from
+the velocity its first stage forms; the largest is ``params["max_cfl"]``.
 
 Trajectories record scalar diagnostics at every step and full field
 snapshots every ``sample_every`` steps and at the final step (snapshots
 bound the memory; the diagnostics stored at snapshot times are
 re-derivable from the snapshots).  The times and every diagnostic are
 stored in float64 arrays allocated for all steps up front.  Both
-integrators hand the recorder, at every step from step 0 on, only the
-block of columns they advance: the linear state itself, and the columns
-l = 0..(m - 1) // 3 of the nonlinear half-spectrum, gathered in one
-``np.take``.  The recorder reads the diagnostics off that block and alone
-builds the full array, only on the steps that hand a field out: snapshot
-steps, the final step, and every step when extra diagnostics are present.
+integrators hand the recorder, at every step from step 0 on, their state
+itself, the block of columns they advance.  The recorder reads the
+diagnostics off that block and alone builds the full array, only on the
+steps that hand a field out: snapshot steps, the final step, and every
+step when extra diagnostics are present.
 It has one mirror rule: the columns l < 0 of a reality-flagged field are
 the conjugate flip of the columns l > 0, with every zero imaginary part
 written as +0; a column a narrowed run has dropped, and its mirror, hold
@@ -145,9 +147,9 @@ class _Recorder:
     slot ``step``, and :meth:`finish` hands the arrays to the
     :class:`Trajectory` without a copy.
 
-    :meth:`record` reads ``block``, the array an integrator advances or
-    gathers in place, so every view of it and of the reused arrays below
-    is built once per block, by :meth:`bind`.  It holds the columns
+    :meth:`record` reads ``block``, the array an integrator advances in
+    place, so every view of it and of the reused arrays below is built
+    once per block, by :meth:`bind`.  It holds the columns
     ``cols = (lo, hi)`` of the full ``(2 nx + 1) x (2 ny + 1)`` array; for
     a reality-flagged field ``lo`` is the column l = 0.  ``|block|^2``
     goes into those columns of one reused full-shape array, whose other
@@ -466,50 +468,53 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     )
 
 
-def _half_wavenumbers(m):
-    """The wavenumbers of the m x (m//2 + 1) ``rfft2`` layout: k in FFT
-    order as a column and l = 0..m//2 as a row, both float."""
-    return (np.fft.fftfreq(m) * m)[:, None], np.arange(m // 2 + 1, dtype=float)[None, :]
+def _block_advection(m):
+    """The dealiased advection term on the 2/3-rule block of an m-point grid.
 
+    A real field is stored as its block: the (2 cut + 1) x (cut + 1)
+    coefficients w(k, l), rows k = -cut..cut and columns l = 0..cut, with
+    cut = (m - 1) // 3 the 2/3-rule bound; the columns l < 0 are the
+    conjugates w(-k, -l).  This is the only function that knows numpy's
+    FFT layout.  Returns ``advect_into``, where ``advect_into(w, out)``
+    writes -N(w) into the block ``out``, N the transform of u . grad w
+    with the 2/3-rule mask |k|, |l| <= cut and a zero mean, and returns
+    the (4, m, m) grid values whose planes 0 and 1 are the velocity u1, u2
+    of ``w``.  The column l = 0 of ``out`` is exactly conjugate-symmetric,
+    out(-k, 0) == conj(out(k, 0)).
 
-def _half_spectrum_advection(m):
-    """The dealiased advection term on the real half-spectrum of an m-point grid.
-
-    A real field is stored on numpy's ``rfft2`` layout: the m x (m//2 + 1)
-    coefficients w(k, l), l = 0..m//2, with k in FFT order; the columns
-    l < 0 are the conjugates w(-k, -l).  Returns ``advect_into``, where
-    ``advect_into(w, out)`` writes -N(w) into ``out``, N the transform of
-    u . grad w with the 2/3-rule mask |k|, |l| <= (m - 1) // 3 and a zero
-    mean, and returns the (4, m, m) grid values whose planes 0 and 1 are
-    the velocity u1, u2 of ``w``.  The column l = 0 of ``out`` is exactly
-    conjugate-symmetric, out(-k, 0) == conj(out(k, 0)).
+    The block is scattered into the columns l = 0..cut of a zero-padded
+    ``rfft2`` spectrum (k in FFT order) and transformed one axis at a
+    time over those columns only; ``irfft`` pads them to m/2 + 1 itself.
+    That is bit for bit ``irfft2``/``rfft2`` of the zero-padded
+    half-spectrum, which make the same 1-D transforms axis by axis, as the
+    skipped columns are zeros going in and masked coming out.  The numpy
+    transforms are looked up on ``np.fft`` at each call.
     """
-    kx, ky = _half_wavenumbers(m)
+    cut = (m - 1) // 3
+    rows = np.arange(-cut, cut + 1) % m
+    kx = np.arange(-cut, cut + 1, dtype=float)[:, None]
+    ky = np.arange(cut + 1, dtype=float)[None, :]
     k2_safe = kx * kx + ky * ky
-    k2_safe[0, 0] = 1.0
+    k2_safe[cut, 0] = 1.0
     scale = m * m  # our coefficients are amplitudes, numpy ffts are unnormalized
     # Biot-Savart u1, u2 and the gradient wx, wy, each scaled by m^2
     mult = np.stack(np.broadcast_arrays(
         1j * ky / k2_safe, -1j * kx / k2_safe, 1j * kx, 1j * ky
     )) * scale
-    cut = (m - 1) // 3
-    mask = (np.abs(kx) <= cut) & (ky <= cut)
-    neg_mask = (mask * (-1.0 / scale)).astype(complex)
-    spec = np.empty(mult.shape, dtype=complex)
+    neg = complex(-1.0 / scale)
+    spec = np.zeros((4, m, cut + 1), dtype=complex)
 
     def advect_into(w, out):
-        np.multiply(mult, w, out=spec)
-        # numpy 2.4 irfft2 ignores out=, so the grid is its return value
-        grid = np.fft.irfft2(spec, s=(m, m))
+        spec[:, rows] = mult * w
+        grid = np.fft.irfft(np.fft.ifft(spec, axis=1), n=m, axis=2)
         grid[2] *= grid[0]
         grid[3] *= grid[1]
         grid[2] += grid[3]
-        np.fft.rfft2(grid[2], out=out)
-        out *= neg_mask
-        out[0, 0] = 0.0
-        # k and -k of the column l = 0 are both stored; rfft2 leaves them
-        # conjugate only to rounding, so write the l = 0, k < 0 half from k > 0
-        np.conjugate(out[cut:0:-1, 0], out=out[m - cut :, 0])
+        np.multiply(np.fft.fft(np.fft.rfft(grid[2])[:, : cut + 1], axis=0)[rows], neg, out=out)
+        out[cut, 0] = 0.0
+        # k and -k of the column l = 0 are both stored; the transforms leave
+        # them conjugate only to rounding, so write k < 0 from k > 0
+        np.conjugate(out[:cut:-1, 0], out=out[:cut, 0])
         return grid
 
     return advect_into
@@ -526,14 +531,15 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
     m >= 3 kmax0 + 1, kmax0 the largest initial wavenumber, so that the mask
     keeps every initial mode.
 
-    The state is stored on the real half-spectrum (the ``rfft2`` layout of
-    :func:`_half_spectrum_advection`), so each right-hand side costs one
-    batched ``irfft2`` and one ``rfft2``.  It is built from the columns
-    l >= 0 of ``w0``, so, as in :func:`evolve_linear`, any conjugate
-    asymmetry ``w0`` carries is dropped from step 0 on.  Every step's CFL number
-    max|u| dt / dx is taken from the velocity at its start; the first step
-    over 1 raises a ``RuntimeWarning`` and ``params["max_cfl"]`` is the
-    largest over the run.
+    The state is the block the mask keeps, the columns l = 0..cut with
+    rows k = -cut..cut, cut = (m - 1) // 3: the layout :func:`evolve_linear`
+    advances for a reality-flagged field, and the recorder reads it in
+    place.  Only the right-hand side, :func:`_block_advection`, knows
+    numpy's FFT layout.  The state is built from the columns l >= 0 of
+    ``w0``.  Every step's CFL number max|u| dt / dx is taken from the
+    velocity at its start; the first step over 1 raises a
+    ``RuntimeWarning`` and ``params["max_cfl"]`` is the largest over the
+    run.
     """
     if not w0.real_valued:
         raise ValueError("nonlinear evolution requires a reality-flagged field")
@@ -552,14 +558,14 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
 
     dt = config.dt
     n_steps = config.n_steps
-    h = m // 2 + 1
-    kx, ky = _half_wavenumbers(m)
+    kx = np.arange(-cut, cut + 1, dtype=float)[:, None]
+    ky = np.arange(cut + 1, dtype=float)[None, :]
     e_half = np.exp(-nu * (kx * kx + ky * ky) * (dt / 2))
-    advect_into = _half_spectrum_advection(m)
+    advect_into = _block_advection(m)
 
-    state = np.zeros((m, h), dtype=complex)
-    state[np.arange(-w0.nx, w0.nx + 1) % m, : w0.ny + 1] = w0.coeffs[:, w0.ny:]
-    state[0, 0] = 0.0
+    state = np.zeros((2 * cut + 1, cut + 1), dtype=complex)
+    state[cut - w0.nx : cut + w0.nx + 1, : w0.ny + 1] = w0.coeffs[:, w0.ny:]
+    state[cut, 0] = 0.0
 
     dx = 2 * math.pi / m
     max_cfl = 0.0
@@ -582,19 +588,9 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
 
         return rhs
 
-    # the columns l = 0..cut of the |k|, |l| <= cut block, read off the
-    # half-spectrum in one gather
-    rows = np.arange(-cut, cut + 1) % m
-    block = np.empty((2 * cut + 1, cut + 1), dtype=complex)
-    rec = _Recorder(cut, cut, True, n_steps, config.sample_every, extra_diagnostics, (cut, 2 * cut + 1), block)
-    head = state[:, : cut + 1]
-
-    def record(step, w):
-        np.take(head, rows, axis=0, out=block)
-        rec.record(step, step * dt)
-
-    record(0, state)
-    _if_rk4(state, e_half, dt, range(n_steps), bind_rhs, record)
+    rec = _Recorder(cut, cut, True, n_steps, config.sample_every, extra_diagnostics, (cut, 2 * cut + 1), state)
+    rec.record(0, 0.0)
+    _if_rk4(state, e_half, dt, range(n_steps), bind_rhs, lambda step, w: rec.record(step, step * dt))
     return rec.finish(
         {
             "kind": "nonlinear",

@@ -68,6 +68,8 @@ class SpectralField:
         if coeffs[nx, ny] != 0:
             raise ValueError("zero-mean violated: what(0, 0) must vanish")
         if real_valued:
+            if not np.isfinite(coeffs).all():  # checked first: nan > 0.0 is false, inf - inf warns
+                raise ValueError("real_valued field has a non-finite coefficient")
             asym = conjugate_asymmetry_raw(coeffs)
             if asym > 0.0:
                 raise ValueError(f"real_valued field lacks conjugate symmetry (asymmetry {asym:.3e})")

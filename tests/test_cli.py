@@ -293,7 +293,7 @@ class TestCheckCommand:
         assert "FAIL golden/matrices" in out
         assert "entry" in out
         others = [name for name, _ in ALL_CHECKS if name != "golden/matrices"]
-        assert len(others) == 26
+        assert len(others) == 27
         for name in others:
             assert f"PASS {name}\n" in out
 

@@ -484,7 +484,7 @@ class TestNarrowing:
 def five_transform_rhs(w):
     """-N(w) and the velocity u1, u2 on the full m x m FFT lattice with five
     complex transforms: the dealiased advection term written apart from
-    the package's half-spectrum version."""
+    the package's block version."""
     m = w.shape[0]
     kk = np.fft.fftfreq(m) * m
     kx, ky = kk[:, None], kk[None, :]
@@ -544,16 +544,53 @@ class TestEvolveNonlinear:
 
     @pytest.mark.parametrize("m", [32, 64])
     def test_rhs_l0_column_exactly_conjugate(self, m):
-        # the half-spectrum stores k and -k of the column l = 0, which rfft2
-        # leaves conjugate only to rounding
+        # the block stores k and -k of the column l = 0, which the transforms
+        # leave conjugate only to rounding
         n = (m - 1) // 3
-        half = np.zeros((m, m // 2 + 1), dtype=complex)
-        half[np.arange(-n, n + 1) % m, : n + 1] = bf.random_field(n, n, 5).coeffs[:, n:]
-        out = np.empty_like(half)
-        bf.evolution._half_spectrum_advection(m)(half, out)
+        block = bf.random_field(n, n, 5).coeffs[:, n:].copy()
+        out = np.empty_like(block)
+        bf.evolution._block_advection(m)(block, out)
         col = out[:, 0]
         assert np.abs(col).max() > 0
-        assert np.array_equal(col[-1:0:-1], np.conj(col[1:]))  # out(-k, 0) == conj(out(k, 0))
+        assert np.array_equal(col[::-1], np.conj(col))  # out(-k, 0) == conj(out(k, 0))
+
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_rhs_is_the_half_spectrum_transform(self, m):
+        # transforming only the block's columns, one axis at a time, is bit
+        # for bit irfft2/rfft2 of the zero-padded rfft2 half-spectrum
+        n = (m - 1) // 3
+        rows = np.arange(-n, n + 1) % m
+        block = bf.random_field(n, n, 5).coeffs[:, n:].copy()
+        out = np.empty_like(block)
+        grid = bf.evolution._block_advection(m)(block, out)
+
+        half = np.zeros((m, m // 2 + 1), dtype=complex)
+        half[rows, : n + 1] = block
+        kx, ky = (np.fft.fftfreq(m) * m)[:, None], np.arange(m // 2 + 1, dtype=float)[None, :]
+        k2 = kx * kx + ky * ky
+        k2[0, 0] = 1.0
+        mult = np.stack(np.broadcast_arrays(1j * ky / k2, -1j * kx / k2, 1j * kx, 1j * ky)) * (m * m)
+        want_grid = np.fft.irfft2(mult * half, s=(m, m))
+        want_grid[2] *= want_grid[0]
+        want_grid[3] *= want_grid[1]
+        want_grid[2] += want_grid[3]
+        want = np.fft.rfft2(want_grid[2])[rows, : n + 1] * complex(-1.0 / (m * m))
+        want[n, 0] = 0.0
+        want[:n, 0] = np.conj(want[:n:-1, 0])
+        assert same_bits(grid, want_grid)
+        assert same_bits(out, want)
+
+    def test_rhs_makes_four_transform_calls(self, monkeypatch):
+        # the benchmark tracer counts the transforms at their np.fft attributes
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        block = bf.random_field(10, 10, 5).coeffs[:, 10:].copy()
+        bf.evolution._block_advection(32)(block, np.empty_like(block))
+        assert sorted(calls) == ["fft", "ifft", "irfft", "rfft"]
 
     def test_recorded_from_block(self):
         # every step's diagnostics are those of the snapshot the recorder
@@ -597,13 +634,13 @@ class TestEvolveNonlinear:
         w = bf.random_field(n, n, 5)
         full = np.zeros((m, m), dtype=complex)
         full[np.ix_(np.arange(-n, n + 1) % m, np.arange(-n, n + 1) % m)] = w.coeffs
-        half = full[:, : m // 2 + 1].copy()
-        assert np.abs(half[1 : n + 1, 0]).min() > 0  # the l = 0 column is populated
-        out = np.empty_like(half)
-        grid = bf.evolution._half_spectrum_advection(m)(half, out)
+        block = w.coeffs[:, n:].copy()
+        assert np.abs(block[n + 1 :, 0]).min() > 0  # the l = 0 column is populated
+        out = np.empty_like(block)
+        grid = bf.evolution._block_advection(m)(block, out)
         want, u1, u2 = five_transform_rhs(full)
         scale = np.abs(want).max()
-        assert np.abs(out - want[:, : m // 2 + 1]).max() <= 1e-14 * scale
+        assert np.abs(out - want[np.arange(-n, n + 1) % m, : n + 1]).max() <= 1e-14 * scale
         assert np.abs(grid[0] - u1).max() <= 1e-14 * np.abs(u1).max()
         assert np.abs(grid[1] - u2).max() <= 1e-14 * np.abs(u2).max()
 

@@ -239,3 +239,51 @@ class TestImmutability:
         with pytest.raises(ValueError, match="conjugate symmetry"):
             bf.SpectralField(3, 3, c, real_valued=True)
         assert conjugate_asymmetry(bf.bar_state(1, 3, 3)) == 0.0
+        # a non-finite coefficient is rejected, with no warning on the way
+        for bad in (np.nan, np.inf):
+            c = np.zeros((7, 7), dtype=complex)
+            c[2, 2] = c[4, 4] = bad  # (-1, -1) and its conjugate partner (1, 1)
+            with pytest.raises(ValueError, match="non-finite"):
+                bf.SpectralField(3, 3, c, real_valued=True)
+
+
+def generic_fields():
+    """A hypothesis strategy of seeded generic fields, flagged and not."""
+    st = pytest.importorskip("hypothesis").strategies
+
+    def build(nx, ny, seed, flagged):
+        if flagged:
+            return bf.random_field(nx, ny, seed)
+        rng = np.random.default_rng(seed)
+        shape = (2 * nx + 1, 2 * ny + 1)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c[nx, ny] = 0.0
+        return bf.SpectralField(nx, ny, c)
+
+    return st.builds(build, st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**16), st.booleans())
+
+
+def test_remove_anomalous_property():
+    # idempotent bit for bit, and the output has no anomalous content at all
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(w=generic_fields())
+    def check(w):
+        p = bf.remove_anomalous(w)
+        assert np.array_equal(bf.remove_anomalous(p).coeffs.view(np.uint64), p.coeffs.view(np.uint64))
+        assert bf.fields.anomalous_content(p) == 0.0
+
+    check()
+
+
+def test_biot_savart_divergence_free_property():
+    # one rounding per coefficient, as in the registry's generic cases
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(w=generic_fields())
+    def check(w):
+        assert bf.biot_savart(w).max_divergence() <= 1e-15 * np.abs(w.coeffs).max()
+
+    check()
