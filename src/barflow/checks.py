@@ -5,7 +5,9 @@ with a diagnostic message on failure.  It raises explicitly, not through
 ``assert``, so the checks also fail under ``python -O``.  ``barflow
 check`` runs the registry :data:`ALL_CHECKS` through :func:`run_all`, and
 ``tests/test_checks.py`` runs each entry as one test, so every case and
-bound is stated here and nowhere else.  The golden-matrix comparison
+bound is stated here and nowhere else.  A check that an acceptance
+criterion restates takes its cases as a table: the registry runs ``X_QUICK``
+and the criterion ``X_ACCEPTANCE``.  The golden-matrix comparison
 rebuilds shipped operator CSVs from their sidecar parameters and reports
 any differing entries.
 """
@@ -168,19 +170,23 @@ def check_anomalous_generator_consistency():
         _require(err < 1e-13, f"generator mismatch (sign={sign}): {err:.3e}")
 
 
-def check_symmetrized_stability():
-    for ell, n, nu, bound in (
-        (1, 40, 1e-3, 1e-10),
-        (2, 40, 1e-4, 1e-10),
-        (3, 40, 1e-2, 1e-10),
-        (1, 30, 1e-2, 1e-10),
-        (2, 30, 1e-3, 1e-10),
-        (2, 30, 1e-4, 1e-10),
-        (2, 25, 1e-3, 0.0),
-    ):
-        op = operators.symmetrized_bar_slice(ell, n, nu, 1.0)
-        top = eigensolve.least_decaying(eigensolve.compute_spectrum(op)).real
-        _require(top <= bound, f"symmetrized slice unstable: Re={top:.3e} (ell={ell}, N={n})")
+# (symmetrized operator, its arguments before the amplitude a = 1, bound on Re lambda_1)
+_BAR, _DIPOLE = operators.symmetrized_bar_slice, operators.symmetrized_dipole_operator
+STABILITY_QUICK = (
+    (_BAR, (1, 40, 1e-3), 1e-10), (_BAR, (2, 40, 1e-4), 1e-10), (_BAR, (3, 40, 1e-2), 1e-10),
+    (_BAR, (1, 30, 1e-2), 1e-10), (_BAR, (2, 30, 1e-3), 1e-10), (_BAR, (2, 30, 1e-4), 1e-10),
+    (_BAR, (2, 25, 1e-3), 0.0),
+)
+STABILITY_ACCEPTANCE = (
+    (_BAR, (1, 40, 1e-3), 1e-10), (_BAR, (2, 60, 1e-4), 1e-10), (_BAR, (3, 30, 1e-2), 1e-10),
+    (_BAR, (2, 100, 1e-3), 1e-10), (_DIPOLE, (20, 1e-3), 1e-10),
+)
+
+
+def check_symmetrized_stability(cases=STABILITY_QUICK):
+    for build, args, bound in cases:
+        top = eigensolve.least_decaying(eigensolve.compute_spectrum(build(*args, 1.0))).real
+        _require(top <= bound, f"{build.__name__}{args} unstable: Re={top:.3e} > {bound}")
 
 
 def check_anomalous_mode_exactness():
@@ -288,13 +294,18 @@ def check_truncation_stability():
 
 # -------------------------------------------------------------- evolution
 
-def check_subspace_invariance():
-    for n, t_final, every in ((24, 100.0, 400), (16, 50.0, 200)):
-        w0 = fields.remove_anomalous(fields.random_field(n, n, 7))
-        cfg = evolution.IntegratorConfig(dt=0.05, t_final=t_final, sample_every=every)
-        traj = evolution.evolve_linear(w0, 1e-2, 1.0, "full", cfg)
+# (N, seed of the random field, nu, dt, t_final, sample_every)
+SUBSPACE_QUICK = ((24, 7, 1e-2, 0.05, 100.0, 400), (16, 7, 1e-2, 0.05, 50.0, 200))
+SUBSPACE_ACCEPTANCE = ((64, 11, 1e-3, 0.025, 1000.0, 8000),)
+
+
+def check_subspace_invariance(cases=SUBSPACE_QUICK):
+    for n, seed, nu, dt, t_final, every in cases:
+        w0 = fields.remove_anomalous(fields.random_field(n, n, seed))
+        cfg = evolution.IntegratorConfig(dt=dt, t_final=t_final, sample_every=every)
+        traj = evolution.evolve_linear(w0, nu, 1.0, "full", cfg)
         worst = (traj.diagnostics["max_pq"] / traj.diagnostics["l2"]).max()
-        _require(worst <= 1e-8, f"anomalous leak {worst:.3e} (n={n})")
+        _require(worst <= 1e-8, f"anomalous leak {worst:.3e} (n={n}, nu={nu})")
 
 
 def check_shear_row_diagonal_decay():
@@ -406,17 +417,22 @@ def check_anomalous_dynamics_match():
 
 # ---------------------------------------------------------- hypocoercivity
 
-def check_constants_identities():
-    for nu in (1e-4, 1e-3):
-        rng = np.random.default_rng(0)
+# (seed of the 100 draws of (m0, a, ell), nu)
+IDENTITIES_QUICK = ((0, 1e-4), (0, 1e-3))
+IDENTITIES_ACCEPTANCE = ((2024, 1e-4),)
+
+
+def check_constants_identities(cases=IDENTITIES_QUICK):
+    for seed, nu in cases:
+        rng = np.random.default_rng(seed)
         for _ in range(100):
             m0 = float(rng.uniform(0.01, 10.0))
             a = float(rng.uniform(0.1, 5.0))
             ell = int(rng.integers(1, 9))
             c = hypocoercivity.hypo_constants(m0, a, ell, nu=nu)
             rel = abs(c.beta0 - 4 * c.alpha0**2) / c.beta0
-            _require(rel < 1e-12, f"beta0 != 4 alpha0^2 (rel {rel:.3e})")
-            _require(c.beta0**2 < c.alpha0 * c.gamma0 / 4, "cross-term inequality fails")
+            _require(rel < 1e-12, f"beta0 != 4 alpha0^2 (rel {rel:.3e}, seed={seed}, nu={nu})")
+            _require(c.beta0**2 < c.alpha0 * c.gamma0 / 4, f"cross-term inequality fails (seed={seed}, nu={nu})")
 
 
 def check_functional_sandwich():
@@ -431,13 +447,23 @@ def check_functional_sandwich():
         _require(s.phi_value >= 0.5 * s.l2_sq, "lower sandwich bound fails")
 
 
-def check_enhanced_decay():
-    nu = 1e-3
-    w0 = fields.seeded_row_field(40, 3, 2, seed=7)
-    fit = hypocoercivity.decay_check(w0, nu, 1.0, t_final=1000.0, dt=0.25)
-    base = evolution.diffusion_rate(w0, nu)
-    _require(fit.rate >= 5 * base, f"rate {fit.rate:.3e} < 5 x diffusive {base:.3e}")
-    _require(fit.m > 0, f"fitted prefactor M = {fit.m:.3e} is not positive")
+# (N of the seeded field on row l = 2 of ny = 3, nu, t_final, dt)
+DECAY_QUICK = ((40, 1e-3, 1000.0, 0.25),)
+DECAY_ACCEPTANCE = ((48, 1e-3, 1000.0, 0.2), (48, 1e-4, 10000.0, 0.2))
+
+
+def check_enhanced_decay(cases=DECAY_QUICK):
+    # five-fold faster than diffusion at every nu, with the sqrt(nu)-normalized
+    # rates M positive and within a factor of two of each other
+    ms = []
+    for n, nu, t_final, dt in cases:
+        w0 = fields.seeded_row_field(n, 3, 2, seed=7)
+        fit = hypocoercivity.decay_check(w0, nu, 1.0, t_final=t_final, dt=dt)
+        base = evolution.diffusion_rate(w0, nu)
+        _require(fit.rate >= 5 * base, f"nu={nu}: rate {fit.rate:.3e} < 5 x diffusive {base:.3e}")
+        _require(fit.m > 0, f"nu={nu}: fitted prefactor M = {fit.m:.3e} is not positive")
+        ms.append(fit.m)
+    _require(max(ms) <= 2.0 * min(ms), f"normalized rates M = {ms} differ by more than 2x")
 
 
 def check_m0_monotone_in_time():
@@ -449,19 +475,27 @@ def check_m0_monotone_in_time():
         _require(later <= earlier + 1e-15, f"m0 grew with time: {vals}")
 
 
-def check_dissipation_negative():
+# (N of the seeded field on row l = 2 of ny = 3, seed, t_final)
+DISSIPATION_QUICK = ((40, 3, 30.0),)
+DISSIPATION_ACCEPTANCE = tuple((48, seed, 60.0) for seed in range(10))
+
+
+def check_dissipation_negative(cases=DISSIPATION_QUICK):
     nu = 1e-4
     m0 = hypocoercivity.auto_m0(1.0, 2, nu)
     cst = hypocoercivity.hypo_constants(m0, 1.0, 2, nu)
-    w0 = fields.seeded_row_field(40, 3, 2, seed=3)
-    cfg = evolution.IntegratorConfig(dt=0.05, t_final=30.0, sample_every=1)
-    traj = evolution.evolve_linear(w0, nu, 1.0, "approximate", cfg)
-    rep = hypocoercivity.functional_dissipation(traj, cst)
-    _require(rep.max_ratio < 0, f"functional grew: max ratio {rep.max_ratio:.3e}")
-    _require(
-        rep.n_interior == len(traj.times) - 2,
-        f"{rep.n_interior} interior samples, expected {len(traj.times) - 2}",
-    )
+    for n, seed, t_final in cases:
+        w0 = fields.seeded_row_field(n, 3, 2, seed=seed)
+        cfg = evolution.IntegratorConfig(dt=0.05, t_final=t_final, sample_every=1)
+        traj = evolution.evolve_linear(w0, nu, 1.0, "approximate", cfg)
+        rep = hypocoercivity.functional_dissipation(traj, cst)
+        _require(rep.max_ratio < 0, f"functional grew: max ratio {rep.max_ratio:.3e} (seed={seed})")
+        _require(
+            rep.n_interior == len(traj.times) - 2,
+            f"{rep.n_interior} interior samples, expected {len(traj.times) - 2} (seed={seed})",
+        )
+
+
 # ------------------------------------------------------------------ golden
 
 def check_golden_matrices(golden_dir=None):
@@ -517,7 +551,6 @@ ALL_CHECKS = [
     ("hypocoercivity/dissipation-negative", check_dissipation_negative),
     ("golden/matrices", check_golden_matrices),
 ]
-
 
 def run_all(golden_dir=None, report=print):
     """Run every check; returns the number of failures."""

@@ -127,7 +127,7 @@ def cmd_sweep(args):
     outputs = [args.out]
     if len(nus) >= 3:
         fit = eigensolve.fit_scaling(sweep)
-        fit_path = args.out.replace(".csv", "") + "_fit.csv"
+        fit_path = args.out.removesuffix(".csv") + "_fit.csv"
         _write_csv(
             fit_path,
             ("slope", "intercept", "max_residual", "n_samples"),

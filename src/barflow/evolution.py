@@ -101,10 +101,10 @@ class IntegratorConfig:
     grid: int | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_final) and self.t_final >= 0):
+            raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
 

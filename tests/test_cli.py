@@ -110,6 +110,15 @@ class TestSweepCommand:
         assert fit_header == ["slope", "intercept", "max_residual", "n_samples"]
         assert float(fit_rows[0][0]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_fit_path_strips_only_trailing_csv(self, tmp_path):
+        # a ".csv" elsewhere in the path is left alone
+        (tmp_path / "runs.csv").mkdir()
+        out = str(tmp_path / "runs.csv" / "s.csv")
+        assert main(["sweep", "--ell", "2", "--trunc", "8",
+                     "--nus", "0.004,0.002,0.001", "--out", out]) == 0
+        assert (tmp_path / "runs.csv" / "s_fit.csv").exists()
+        assert sorted(read_manifest(out)["outputs"]) == [out, str(tmp_path / "runs.csv" / "s_fit.csv")]
+
     def test_single_nu_no_fit(self, tmp_path):
         out = str(tmp_path / "one.csv")
         assert main(["sweep", "--ell", "2", "--trunc", "8", "--nus", "0.001",
@@ -206,6 +215,12 @@ class TestEvolveCommand:
                           "--nu", "0.01", "--trunc", "4", "--t-final", "0.2",
                           "--dt", "0.1", "--with-x-norm",
                           "--out-prefix", str(tmp_path / "bad")]) == 2
+
+    @pytest.mark.parametrize("dt, t_final", [("0.1", "inf"), ("inf", "5"), ("nan", "5")])
+    def test_non_finite_times_exit_two(self, tmp_path, dt, t_final):
+        assert exit_code(["evolve", "--init", "zero", "--nu", "0.01", "--dt", dt,
+                          "--t-final", t_final, "--out-prefix", str(tmp_path / "bad")]) == 2
+        assert not list(tmp_path.glob("bad*"))
 
     def test_nonlinear_manifest_records_the_run(self, tmp_path):
         # --amp is accepted and unused; the grid is the one picked automatically

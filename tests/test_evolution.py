@@ -20,6 +20,9 @@ class TestIntegratorConfig:
             bf.IntegratorConfig(dt=0.1, t_final=1.0, sample_every=0)
         with pytest.raises(ValueError):
             bf.IntegratorConfig(dt=0.3, t_final=1.0).n_steps
+        for dt, t_final in ((math.inf, 5.0), (math.nan, 5.0), (0.1, math.inf), (0.1, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                bf.IntegratorConfig(dt=dt, t_final=t_final)
 
 
 class TestEvolveLinear:
