@@ -453,8 +453,6 @@ DECAY_ACCEPTANCE = ((48, 1e-3, 1000.0, 0.2), (48, 1e-4, 10000.0, 0.2))
 
 
 def check_enhanced_decay(cases=DECAY_QUICK):
-    # five-fold faster than diffusion at every nu, with the sqrt(nu)-normalized
-    # rates M positive and within a factor of two of each other
     ms = []
     for n, nu, t_final, dt in cases:
         w0 = fields.seeded_row_field(n, 3, 2, seed=7)
