@@ -80,6 +80,5 @@ from .hypocoercivity import (
     hypo_constants,
     oscillator_min_eig,
     phi_diagnostic,
-    x_norm_diagnostic,
     x_norm_sq,
 )

@@ -98,11 +98,21 @@ def _read_config(path):
     return out
 
 
-def _parse_nus(text):
-    nus = [float(v) for v in text.split(",") if v.strip()]
-    if not nus:
-        raise ValueError("empty viscosity list")
-    return nus
+def _finite_float(text):
+    """The argparse type of every real-valued physical input: ``--nu``,
+    ``--amp``, ``--dt``, ``--t-final`` and each ``--nus`` entry."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_floats(text):
+    """The argparse type of ``--nus``: comma-separated finite numbers."""
+    return [_finite_float(v) for v in text.split(",") if v.strip()]
 
 
 def cmd_spectrum(args):
@@ -117,7 +127,9 @@ def cmd_spectrum(args):
 
 def cmd_sweep(args):
     ell, trunc, amp = args.ell, args.trunc, args.amp
-    nus = _parse_nus(args.nus)
+    nus = args.nus
+    if not nus:
+        raise ValueError("empty viscosity list")
     sweep = eigensolve.nu_sweep(ell, trunc, nus, amp, args.variant)
     rows = []
     for nu, spec in sweep:
@@ -140,7 +152,9 @@ def cmd_sweep(args):
 
 def cmd_collapse(args):
     ell, trunc, amp = args.ell, args.trunc, args.amp
-    nus = _parse_nus(args.nus)
+    nus = args.nus
+    if not nus:
+        raise ValueError("empty viscosity list")
     rows = eigensolve.collapse_table(ell, trunc, nus, args.count, amp, args.variant)
     _write_csv(args.out, ("rank", "nu", "re_over_sqrt_nu"), rows)
     params = {
@@ -185,8 +199,7 @@ def cmd_evolve(args):
         grid=args.grid,
     )
     if args.kind == "linear":
-        extra = {"x_norm": hypocoercivity.x_norm_diagnostic(nu, amp)} if args.with_x_norm else None
-        traj = evolution.evolve_linear(w0, nu, amp, args.variant, cfg, extra)
+        traj = evolution.evolve_linear(w0, nu, amp, args.variant, cfg, x_norm=args.with_x_norm)
     else:
         traj = evolution.evolve_nonlinear(w0, nu, cfg)
     diag_path = f"{args.out_prefix}_diagnostics.csv"
@@ -229,6 +242,9 @@ def cmd_hypo(args):
     lam_min = math.nan
     if auto:
         lam_min = hypocoercivity._cosine_well_min_eig(constants.beta0, nu, amp, ell)
+    # the decay run validates dt and t_final, so it runs before the first write
+    w0 = fields.seeded_row_field(trunc, abs(ell), ell, args.seed)
+    fit = hypocoercivity.decay_check(w0, nu, amp, args.t_final, args.dt)
 
     const_path = f"{args.out_prefix}_constants.csv"
     _write_csv(
@@ -242,9 +258,6 @@ def cmd_hypo(args):
         ("nu", "a", "ell", "t", "lambda_min", "m0_est"),
         [(nu, amp, ell, 0.0, lam_min, m0)],
     )
-
-    w0 = fields.seeded_row_field(trunc, abs(ell), ell, args.seed)
-    fit = hypocoercivity.decay_check(w0, nu, amp, args.t_final, args.dt)
     decay_path = f"{args.out_prefix}_decay.csv"
     _write_csv(
         decay_path,
@@ -295,8 +308,8 @@ def build_parser():
     common(p)
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--trunc", type=int, default=100)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--amp", type=float, default=1.0)
+    p.add_argument("--nu", type=_finite_float)
+    p.add_argument("--amp", type=_finite_float, default=1.0)
     p.add_argument(
         "--variant",
         default="full",
@@ -308,8 +321,8 @@ def build_parser():
     common(p)
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--trunc", type=int, default=100)
-    p.add_argument("--nus", default="", help="comma-separated viscosities")
-    p.add_argument("--amp", type=float, default=1.0)
+    p.add_argument("--nus", type=_finite_floats, default="", help="comma-separated viscosities")
+    p.add_argument("--amp", type=_finite_float, default=1.0)
     p.add_argument(
         "--variant", default="full", choices=("full", "approximate", "symmetrized")
     )
@@ -319,9 +332,9 @@ def build_parser():
     common(p)
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--trunc", type=int, default=100)
-    p.add_argument("--nus", default="", help="comma-separated viscosities")
+    p.add_argument("--nus", type=_finite_floats, default="", help="comma-separated viscosities")
     p.add_argument("--count", type=int, default=30)
-    p.add_argument("--amp", type=float, default=1.0)
+    p.add_argument("--amp", type=_finite_float, default=1.0)
     p.add_argument(
         "--variant", default="full", choices=("full", "approximate", "symmetrized")
     )
@@ -336,11 +349,11 @@ def build_parser():
     )
     p.add_argument("--kind", default="linear", choices=("linear", "nonlinear"))
     p.add_argument("--variant", default="full", choices=("full", "approximate"))
-    p.add_argument("--nu", type=float)
-    p.add_argument("--amp", type=float, default=1.0)
+    p.add_argument("--nu", type=_finite_float)
+    p.add_argument("--amp", type=_finite_float, default=1.0)
     p.add_argument("--trunc", type=int, default=16)
-    p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--t-final", type=_finite_float, required=True)
+    p.add_argument("--dt", type=_finite_float, required=True)
     p.add_argument("--sample-every", type=int, default=1)
     p.add_argument("--grid", type=int, help="nonlinear transform grid (power of two)")
     p.add_argument("--with-x-norm", action="store_true")
@@ -350,12 +363,12 @@ def build_parser():
     p = sub.add_parser("hypo", help="constants, oscillator gap, and decay fit")
     common(p, "--out-prefix")
     p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--amp", type=float, default=1.0)
+    p.add_argument("--nu", type=_finite_float)
+    p.add_argument("--amp", type=_finite_float, default=1.0)
     p.add_argument("--m0", default="auto", help="'auto' or a positive number")
     p.add_argument("--trunc", type=int, default=48)
-    p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--t-final", type=_finite_float, required=True)
+    p.add_argument("--dt", type=_finite_float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_hypo)
 

@@ -41,16 +41,13 @@ bound the memory; the diagnostics stored at snapshot times are
 re-derivable from the snapshots).  The times and every diagnostic are
 stored in float64 arrays allocated for all steps up front.  Both
 integrators hand the recorder, at every step from step 0 on, their state
-itself, the block of columns they advance.  The recorder reads the
-diagnostics off that block and alone builds the full array, only on the
-steps that hand a field out: snapshot steps, the final step, and every
-step when extra diagnostics are present.
-It has one mirror rule: the columns l < 0 of a reality-flagged field are
-the conjugate flip of the columns l > 0, with every zero imaginary part
-written as +0; a column a narrowed run has dropped, and its mirror, hold
-+0.  The benchmark tracer's per-step clock is an extra diagnostic, so
-traced runs, like ``decay_check`` with its X-norm, build the full array
-at every step, and traced step times include that work.
+itself, the block of columns they advance.  The recorder reads every
+built-in diagnostic, the mixed X-norm included, off that block and alone
+builds the full array, only on the steps that hand a field out: snapshot
+steps, the final step, and every step when extra diagnostics are present.
+The benchmark tracer's per-step clock is an extra diagnostic, so traced
+runs build the full array at every step, and traced step times include
+that work.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PARSEVAL, _wrap, pair_content_raw
+from .fields import PARSEVAL, TWO_PI, _wrap, _x_norm_weights, pair_content_raw
 from .operators import _coupling_factor, _k_neighbours
 
 # Over t ~ 1/nu the integrating factor exp(-nu k^2 t) drives the high modes
@@ -148,71 +145,87 @@ class _Recorder:
     :class:`Trajectory` without a copy.
 
     :meth:`record` reads ``block``, the array an integrator advances in
-    place, so every view of it and of the reused arrays below is built
-    once per block, by :meth:`bind`.  It holds the columns
-    ``cols = (lo, hi)`` of the full ``(2 nx + 1) x (2 ny + 1)`` array; for
-    a reality-flagged field ``lo`` is the column l = 0.  ``|block|^2``
-    goes into those columns of one reused full-shape array, whose other
-    columns are 0, or for a flagged field the flip of the columns l > 0,
-    as |conj x| == |x|; the whole-array sums then run, so ``l2``,
-    ``enstrophy`` and ``grad_norm_sq`` are those of the full array bit for
-    bit.  A linear run rebinds a narrower block once its other columns are
-    exact zeros; the sums still run over the whole array, in one order.
-    ``max_pq`` reads the block's columns l = 0 and +-1: the row l = -1 of
-    a flagged field mirrors the row l = +1 exactly, and a block with no
-    column |l| <= 1 gives 0.0.
+    place, so every view of it and every weight is built once per block,
+    by :meth:`bind`.  The block holds the columns ``cols = (lo, hi)`` of
+    the full ``(2 nx + 1) x (2 ny + 1)`` array, and every diagnostic is
+    read off it: ``l2``, ``enstrophy``, ``grad_norm_sq`` and, with
+    ``x_norm = (nu, a)``, the mixed norm ``x_norm`` of
+    ``hypocoercivity.x_norm_sq`` are weighted sums of the squared real and
+    imaginary parts of the block, one matrix-vector product per step.
+    Each weight carries the multiplicity of its column in the full array:
+    2 for a column l >= 1 of a reality-flagged field, whose mirror -l has
+    the same |c|^2, else 1.  ``max_pq`` reads the block's columns l = 0
+    and +-1: the row l = -1 of a flagged field mirrors the row l = +1
+    exactly, and a block with no column |l| <= 1 gives 0.0.  The mixed norm
+    rejects, as ``x_norm_sq`` does, a field whose column l = 0 exceeds
+    1e-10 of its norm.
 
-    The full array is built here alone, and only on the steps that hand it
-    out: snapshot steps, the final step, and every step when extra
-    diagnostics, called as ``f(field, t)``, are present (the benchmark
-    tracer's per-step clock is one), which all get the same read-only
-    field over it.  It holds the block, zeros in the other columns, or for
-    a flagged field the conjugate flip of the columns l > 0 with every
-    zero imaginary part written as +0.
+    The full array is built only on the steps that hand it out: snapshot
+    steps, the final step, and every step when extra diagnostics, called
+    as ``f(field, t)``, are present (the benchmark tracer's per-step clock
+    is one), which all get the same read-only field over it.
     """
 
-    def __init__(self, nx, ny, real_valued, n_steps, sample_every, extra_diagnostics, cols, block):
+    def __init__(self, nx, ny, real_valued, n_steps, sample_every, extra_diagnostics, cols, block, x_norm=None):
         self.nx = nx
         self.ny = ny
         self.real_valued = real_valued
         self.n_steps = n_steps
         self.sample_every = sample_every
         self.extra = extra_diagnostics or {}
-        ks = np.arange(-nx, nx + 1)[:, None]
-        ls = np.arange(-ny, ny + 1)[None, :]
-        self.lap = (ks * ks + ls * ls).astype(float)
-        self.sq = np.empty_like(self.lap)
-        self.lap_sq = np.empty_like(self.lap)
-        self.full = np.empty(self.lap.shape, dtype=complex)
+        self.x_norm = x_norm
+        self.full = np.empty((2 * nx + 1, 2 * ny + 1), dtype=complex)
         self.bind(cols, block)
         # one read-only field over the reused full array, handed to every
         # extra diagnostic
         self.view = _wrap(nx, ny, self.full.view(), real_valued)
         self.times = np.empty(n_steps + 1)
-        self.diag = {name: np.empty(n_steps + 1) for name in
-                     ("l2", "enstrophy", "grad_norm_sq", "max_pq", *self.extra)}
-        self.l2, self.enstrophy, self.grad_norm_sq, self.max_pq = (
-            self.diag[name] for name in ("l2", "enstrophy", "grad_norm_sq", "max_pq"))
+        names = ("l2", "enstrophy", "grad_norm_sq", "max_pq", *(("x_norm",) if x_norm else ()))
+        self.diag = {name: np.empty(n_steps + 1) for name in (*names, *self.extra)}
+        self.l2, self.enstrophy, self.grad_norm_sq, self.max_pq = (self.diag[name] for name in names[:4])
+        self.x_norm_out = self.diag["x_norm"] if x_norm else None
         self.extra_out = [(fn, self.diag[name]) for name, fn in self.extra.items()]
         self.field_times = []
         self.fields = []
 
     def bind(self, cols, block):
-        """Read from now on ``block``, the columns ``cols = (lo, hi)`` of
-        the full array, which must hold every nonzero part; for a
-        reality-flagged field ``lo`` is the column l = 0.  Every other
-        column, and its mirror, reads +0 from here on."""
-        ny = self.ny
+        """Read from now on ``block``, a C-contiguous array holding the
+        columns ``cols = (lo, hi)`` of the full array, which must hold
+        every nonzero part; for a reality-flagged field ``lo`` is the column
+        l = 0."""
+        nx, ny = self.nx, self.ny
         lo, hi = cols
-        self.sq.fill(0.0)
-        self.full.fill(0.0)
         self.block = block
-        self.sq_block = self.sq[:, lo:hi]
+        if not block.flags.c_contiguous:  # else the flat view below would be a copy
+            raise ValueError("the recorded block must be C-contiguous")
+        self.parts = block.view(float).reshape(-1)
+        self.parts_sq = np.empty_like(self.parts)
+        ks = np.arange(-nx, nx + 1)[:, None]
+        ls = np.arange(lo - ny, hi - ny)[None, :]
+        mult = np.where(self.real_valued & (ls > 0), 2.0, 1.0)
+        weights = [mult, mult * (ks * ks + ls * ls)]
+
+        def per_part(w):  # one weight per real or imaginary part of the block
+            return np.repeat(np.broadcast_to(w, block.shape), 2, axis=1).ravel()
+
+        if self.x_norm:
+            w_sq, w_nb = _x_norm_weights(nx, ny, self.x_norm[0])
+            weights.append(mult * w_sq[:, lo:hi])
+            # c(k-1) + c(k+1) of the block, c = 0 beyond it
+            self.nb = np.empty_like(block)
+            self.nb_parts = self.nb.view(float).reshape(-1)
+            self.nb_sq = np.empty_like(self.nb_parts)
+            self.nb_weights = per_part(mult * w_nb[:, lo:hi])
+            self.nb_mid, self.nb_first, self.nb_last = self.nb[1:-1], self.nb[0], self.nb[-1]
+            self.block_below, self.block_above = block[:-2], block[2:]
+            self.block_second, self.block_penultimate = block[1], block[-2]
+        self.weights = np.stack([per_part(w) for w in weights], axis=1)  # one column per sum
+        self.sums = np.zeros(len(weights))
+        self.full.fill(0.0)
         self.full_block = self.full[:, lo:hi]
         if self.real_valued:  # the columns l < 0 and the block's columns l > 0 they mirror
-            neg = slice(2 * ny + 1 - hi, ny)
-            self.sq_mirror, self.sq_mirrored = self.sq[:, neg], self.sq[::-1, hi - 1 : ny : -1]
-            self.full_mirror, self.block_mirrored = self.full[:, neg], block[::-1, hi - lo - 1 : 0 : -1]
+            self.full_mirror = self.full[:, 2 * ny + 1 - hi : ny]
+            self.block_mirrored = block[::-1, hi - lo - 1 : 0 : -1]
             self.full_mirror_imag = self.full_mirror.imag
         # max_pq reads the column l = 0 and the columns l = +-1 of the block
         self.shear_col = block[:, ny - lo] if lo <= ny < hi else None
@@ -221,30 +234,41 @@ class _Recorder:
         self.pm1 = block[:, pm1[0] : pm1[-1] + 1 : 2] if pm1 else None
 
     def record(self, step, t):
-        """Record step ``step`` at time ``t`` from the block, which holds
-        the columns ``lo:hi`` of the coefficient array."""
-        block, sq, reduce = self.block, self.sq, np.add.reduce
-        part = self.sq_block
-        np.square(np.abs(block, out=part), out=part)
-        if self.real_valued:  # |conj x| == |x|: the columns l < 0 mirror l > 0
-            np.copyto(self.sq_mirror, self.sq_mirrored)
-        l2_sq = reduce(sq, None)
+        """Record step ``step`` at time ``t`` from the block."""
+        np.square(self.parts, out=self.parts_sq)
+        l2_sq, grad_sq, *x_sq = np.dot(self.parts_sq, self.weights, out=self.sums).tolist()
         if not math.isfinite(l2_sq):
             raise FloatingPointError(f"non-finite state at step {step} (t={t:.6g})")
         self.times[step] = t
         self.l2[step] = math.sqrt(l2_sq)
         self.enstrophy[step] = PARSEVAL * l2_sq
-        self.grad_norm_sq[step] = PARSEVAL * reduce(np.multiply(self.lap, sq, out=self.lap_sq), None)
+        self.grad_norm_sq[step] = PARSEVAL * grad_sq
         shear = 0.0 if self.shear_col is None else np.maximum.reduce(
             np.abs(self.shear_col, out=self.shear_abs), None)
         pairs = 0.0 if self.pm1 is None else pair_content_raw(self.pm1)
         self.max_pq[step] = max(shear, pairs)
+        if self.x_norm:
+            if shear > 1e-10 * max(math.sqrt(l2_sq), 1e-300):
+                raise ValueError(f"l = 0 content {shear:.3e} exceeds tolerance for the mixed norm")
+            np.add(self.block_below, self.block_above, out=self.nb_mid)
+            np.copyto(self.nb_first, self.block_second)
+            np.copyto(self.nb_last, self.block_penultimate)
+            np.square(self.nb_parts, out=self.nb_sq)
+            nb_sq = float(np.dot(self.nb_sq, self.nb_weights))
+            nu, a = self.x_norm
+            amp = a * math.exp(-nu * t)
+            self.x_norm_out[step] = math.sqrt(TWO_PI * (x_sq[0] + amp * amp * nb_sq))
 
         snapshot = step % self.sample_every == 0 or step == self.n_steps
         if not (snapshot or self.extra):
             return
-        np.copyto(self.full_block, block)
-        if self.real_valued:  # what(-k, -l) = conj(what(k, l))
+        # The full array is the block, +0 in every other column, and for a
+        # reality-flagged field the columns l < 0 are the conjugate flip of
+        # the columns l > 0, what(-k, -l) = conj(what(k, l)), with every zero
+        # imaginary part written as +0; a column a narrowed run has dropped,
+        # and its mirror, hold +0.
+        np.copyto(self.full_block, self.block)
+        if self.real_valued:
             np.conjugate(self.block_mirrored, out=self.full_mirror)
             np.add(self.full_mirror_imag, 0.0, out=self.full_mirror_imag)  # -0 -> +0
         for fn, values in self.extra_out:
@@ -335,7 +359,7 @@ def _live_span(block):
     return (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
 
 
-def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
+def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None, x_norm=False):
     """Integrate d/dt what = L(t) what for the shear linearization.
 
     The diffusion is applied exactly through the integrating factor; the
@@ -355,16 +379,17 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
     the sum of the block's width over the steps.
 
     Every step, step 0 included, is recorded from the block
-    (``_Recorder``), and the full array is the block, for a reality-flagged
-    field with its columns l < 0 filled by the conjugate flip of the
-    columns l > 0, and +0 in every other column.  The scheme keeps
-    conjugate symmetry in value but not in the sign of a zero part, so the
-    flip writes each zero imaginary part as +0.  So every snapshot equals
-    that of the full-array scheme in value, and bit for bit on each column
-    it advances that the full-array scheme leaves nonzero.
+    (``_Recorder``).  The scheme keeps conjugate symmetry in value but not
+    in the sign of a zero part, so every snapshot equals that of the
+    full-array scheme in value, and bit for bit on each column it advances
+    that the full-array scheme leaves nonzero.
 
-    ``extra_diagnostics`` maps names to callables ``f(field, t) -> float``
-    evaluated at every step (e.g. a weighted-norm diagnostic).  Tiny parts
+    With ``x_norm`` the diagnostics include ``x_norm``, the mixed norm
+    sqrt(``hypocoercivity.x_norm_sq``) at the run's ``nu`` and ``a``; a
+    field whose column l = 0 exceeds 1e-10 of its norm raises
+    ``ValueError`` at the first such step.  ``extra_diagnostics`` maps
+    names to callables ``f(field, t) -> float`` evaluated at every step on
+    the full array (e.g. ``hypocoercivity.phi_diagnostic``).  Tiny parts
     of the block are flushed to zero every ``FLUSH_EVERY`` steps (module
     comment); ``params["flushed_parts"]`` is the number of nonzero parts
     flushed from the full array, so a part of a column l >= 1 of a
@@ -421,7 +446,8 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None):
 
         return adv
 
-    rec = _Recorder(nx, ny, w0.real_valued, n_steps, config.sample_every, extra_diagnostics, (lo, hi), state)
+    rec = _Recorder(nx, ny, w0.real_valued, n_steps, config.sample_every, extra_diagnostics, (lo, hi), state,
+                    (nu, a) if x_norm else None)
     live = None
 
     def record(step, w):

@@ -24,6 +24,7 @@ those rows, and the projection that removes it keeps (w - J w)/2 there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -349,6 +350,25 @@ def grad_norm_sq(w):
     """integral |grad w|^2 = (2 pi)^2 sum (k^2 + l^2) |what|^2."""
     ks, ls = w.wavenumbers()
     return PARSEVAL * float(np.sum((ks * ks + ls * ls) * np.abs(w.coeffs) ** 2))
+
+
+@functools.lru_cache(maxsize=16)
+def _x_norm_weights(nx, ny, nu):
+    """Read-only weights of the mixed norm (``hypocoercivity.x_norm_sq``)
+    on a (2 nx + 1) x (2 ny + 1) array: ``1 + sqrt(nu/|l|) k^2`` on
+    |c|^2 and ``|l|^{1/2} / (4 sqrt(nu))`` on |c(k-1) + c(k+1)|^2, both 0
+    on l = 0.  Both have the array's shape: a broadcast operand costs more
+    per call than the memory it saves."""
+    ks = np.arange(-nx, nx + 1, dtype=float)[:, None]
+    labs = np.abs(np.arange(-ny, ny + 1, dtype=float))
+    sel = labs > 0
+    w_sq = np.zeros((2 * nx + 1, 2 * ny + 1))
+    w_sq[:, sel] = 1.0 + np.sqrt(nu / labs[sel]) * (ks * ks)
+    w_nb = np.zeros_like(w_sq)
+    w_nb[:, sel] = np.sqrt(labs[sel]) / (4 * math.sqrt(nu))
+    w_sq.setflags(write=False)
+    w_nb.setflags(write=False)
+    return w_sq, w_nb
 
 
 def synthesize(w, grid_x=None, grid_y=None):

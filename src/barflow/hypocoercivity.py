@@ -29,14 +29,13 @@ nonautonomous amplitude a e^{-nu t}.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evolution import IntegratorConfig, decay_rate_fit, evolve_linear
-from .fields import TWO_PI, is_anomalous_free
+from .fields import TWO_PI, _x_norm_weights, is_anomalous_free
 from .operators import _k_neighbours
 
 SQRT2 = math.sqrt(2.0)
@@ -159,24 +158,6 @@ def functional_sample(row, constants, t):
     return FunctionalSample(t, phi, l2_sq, dx_sq, cross, c_sq)
 
 
-@functools.lru_cache(maxsize=16)
-def _x_norm_weights(nx, ny, nu):
-    """Read-only weights of :func:`x_norm_sq` on a (2 nx + 1) x (2 ny + 1)
-    array: ``1 + sqrt(nu/|l|) k^2`` on |c|^2 and ``|l|^{1/2} / (4 sqrt(nu))``
-    on |c(k-1) + c(k+1)|^2, both 0 on l = 0.  Both have the array's shape:
-    a broadcast operand costs more per call than the memory it saves."""
-    ks = np.arange(-nx, nx + 1, dtype=float)[:, None]
-    labs = np.abs(np.arange(-ny, ny + 1, dtype=float))
-    sel = labs > 0
-    w_sq = np.zeros((2 * nx + 1, 2 * ny + 1))
-    w_sq[:, sel] = 1.0 + np.sqrt(nu / labs[sel]) * (ks * ks)
-    w_nb = np.zeros_like(w_sq)
-    w_nb[:, sel] = np.sqrt(labs[sel]) / (4 * math.sqrt(nu))
-    w_sq.setflags(write=False)
-    w_nb.setflags(write=False)
-    return w_sq, w_nb
-
-
 def x_norm_sq(field, nu, a, t=0.0):
     """Squared mixed norm of a field whose l = 0 row vanishes.
 
@@ -214,15 +195,6 @@ def x_norm_sq(field, nu, a, t=0.0):
     amp = a * math.exp(-nu * t)
     # np.add.reduce(x, None) is the reduction x.sum() runs, without its wrapper
     return float(TWO_PI * (np.add.reduce(sq, None) + amp * amp * np.add.reduce(nb_sq, None)))
-
-
-def x_norm_diagnostic(nu, a):
-    """Per-step trajectory diagnostic: the (un-squared) mixed norm."""
-
-    def diag(field, t):
-        return math.sqrt(x_norm_sq(field, nu, a, t))
-
-    return diag
 
 
 def phi_diagnostic(constants):
@@ -325,18 +297,17 @@ def decay_check(w0, nu, a, t_final, dt):
     amplitude * exp(-rate t) from t = 0.05 T on, up to the last sample
     with squared norm at least 1e-30 (underflow truncates the window).
     Returns the fit with m = rate / sqrt(nu) and k = amplitude / x_0^2,
-    x_0 the recorded ``x_norm`` of step 0.  The fit reads only the
-    per-step diagnostics, so only the endpoint snapshots are kept.
+    x_0 the recorded ``x_norm`` of step 0.  The run records ``x_norm`` at
+    every step off the block it advances (``evolve_linear`` with
+    ``x_norm=True``), and the fit reads only those diagnostics, so the
+    full array is built only for the two endpoint snapshots.
     """
     ok, viol = is_anomalous_free(w0, tol=1e-8)
     if not ok:
         raise ValueError(f"initial field has anomalous content {viol:.3e}")
     n_steps = IntegratorConfig(dt=dt, t_final=t_final).n_steps
     cfg = IntegratorConfig(dt=dt, t_final=t_final, sample_every=max(1, n_steps))
-    traj = evolve_linear(
-        w0, nu, a, "approximate", cfg,
-        extra_diagnostics={"x_norm": x_norm_diagnostic(nu, a)},
-    )
+    traj = evolve_linear(w0, nu, a, "approximate", cfg, x_norm=True)
     xs = traj.diagnostics["x_norm"]
     t = traj.times
     sel = (t >= 0.05 * t_final) & (xs * xs >= 1e-30)

@@ -276,12 +276,43 @@ class TestHypoCommand:
         _, drows = read_csv(prefix + "_decay.csv")
         assert float(drows[0][2]) > 0  # fitted sqrt(nu)-normalized rate
 
+    @pytest.mark.parametrize("t_final", ["inf", "1.05"], ids=["non-finite", "not-whole-steps"])
+    def test_rejected_run_writes_nothing(self, tmp_path, t_final):
+        # 1.05 passes the parser but is not a whole number of steps of 0.1
+        assert exit_code(["hypo", "--nu", "0.01", "--trunc", "8", "--t-final", t_final, "--dt", "0.1",
+                          "--out-prefix", str(tmp_path / "h")]) == 2
+        assert not list(tmp_path.iterdir())
+
     def test_invalid_user_constants_rejected(self, tmp_path):
         prefix = str(tmp_path / "bad")
         with pytest.raises(SystemExit) as exc:
             main(["hypo", "--ell", "2", "--nu", "0.001", "--m0", "-1.0",
                   "--t-final", "10", "--dt", "0.1", "--out-prefix", prefix])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["evolve", "--init", "zero", "--nu", "nan", "--dt", "0.1", "--t-final", "0.2"], None),
+    (["evolve", "--init", "zero", "--nu", "0.01", "--amp", "nan", "--dt", "0.1", "--t-final", "0.2"], None),
+    (["evolve", "--init", "zero", "--nu", "0.01", "--dt", "inf", "--t-final", "0.2"], None),
+    (["evolve", "--init", "zero", "--nu", "0.01", "--dt", "0.1", "--t-final", "-inf"], None),
+    (["hypo", "--nu", "nan", "--trunc", "8", "--t-final", "1", "--dt", "0.1"], None),
+    (["hypo", "--nu", "0.01", "--amp", "inf", "--trunc", "8", "--t-final", "1", "--dt", "0.1"], None),
+    (["spectrum", "--nu", "inf", "--trunc", "4"], None),
+    (["sweep", "--trunc", "4", "--nus", "0.1,nan"], None),
+    (["collapse", "--trunc", "4", "--nus", "inf"], None),
+    (["evolve", "--init", "zero", "--dt", "0.1", "--t-final", "0.2"], "nu=nan\n"),
+    (["sweep", "--trunc", "4"], "nus=0.1,-inf\n"),
+], ids=["evolve-nu", "evolve-amp", "evolve-dt", "evolve-t-final", "hypo-nu", "hypo-amp", "spectrum-nu",
+        "sweep-nus", "collapse-nus", "config-nu", "config-nus"])
+def test_non_finite_input_exits_two(tmp_path, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    out = ["--out-prefix", "x"] if argv[0] in ("evolve", "hypo") else ["--out", "x.csv"]
+    if config is not None:
+        Path("run.cfg").write_text(config)
+        out += ["--config", "run.cfg"]
+    assert exit_code([*argv, *out]) == 2
+    assert not list(tmp_path.glob("x*"))
 
 
 @pytest.fixture
