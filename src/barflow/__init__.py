@@ -11,7 +11,6 @@ and :mod:`barflow.cli` (the experiment runner).
 __version__ = "0.1.0"
 
 from .fields import (
-    AnomalousCoordinates,
     SpectralField,
     VelocityField,
     anomalous_content,

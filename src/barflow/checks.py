@@ -155,17 +155,16 @@ def check_anomalous_generator_consistency():
     rng = np.random.default_rng(0)
     row = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
 
-    def coords(r):
-        out = []
-        for j in range(jmax + 1):
-            out.append(r[2 * j + n] + r[-2 * j + n])
-            out.append(r[(2 * j + 1) + n] - r[-(2 * j + 1) + n])
-        return np.array(out)
+    def on_row(r, sign):  # the raw row as the row l = sign of an n x 1 field
+        c = np.zeros((2 * n + 1, 3), dtype=complex)
+        c[:, 1 + sign] = r
+        return fields.SpectralField(n, 1, c, copy=False)
 
     for sign in (+1, -1):
         op = operators.bar_slice(sign, n, nu, a, t, "full")
-        lhs = coords(op.matrix @ row)
-        rhs = operators.anomalous_generator(nu, a, t, jmax, sign) @ coords(row)
+        lhs = fields.anomalous_coordinates(on_row(op.matrix @ row, sign), sign, jmax)
+        u = fields.anomalous_coordinates(on_row(row, sign), sign, jmax)
+        rhs = operators.anomalous_generator(nu, a, t, jmax, sign) @ u
         err = np.abs(lhs - rhs).max()
         _require(err < 1e-13, f"generator mismatch (sign={sign}): {err:.3e}")
 
@@ -357,18 +356,6 @@ def check_inviscid_conservation():
     _require(drift <= 1e-6, f"inviscid enstrophy drift {drift:.3e}")
 
 
-def _paired_coordinates(field, jmax, sign):
-    """The closed system's state on row l = sign: even sums at even
-    indices, odd differences at odd ones."""
-    c = fields.anomalous_coordinates(field, jmax)
-    u = np.empty(2 * (jmax + 1), dtype=complex)
-    if sign > 0:
-        u[0::2], u[1::2] = c.even_sums_plus, c.odd_diffs_plus
-    else:
-        u[0::2], u[1::2] = c.even_sums_minus, c.odd_diffs_minus
-    return u
-
-
 def _integrate_closed_ode(u, nu, a, jmax, sign, dt, t_final):
     """Independent RK4 oracle for the closed tridiagonal system."""
     for i in range(int(round(t_final / dt))):
@@ -395,7 +382,7 @@ def check_anomalous_dynamics_match():
     n = 2 * jmax + 1
     w0 = fields.mode_field(n, n, {(0, 1): 0.5, (1, 1): 0.3, (2, 1): 0.2 + 0.1j})
     got = final_field(w0, nu, a, dt, t_final).get(0, 1)
-    u0 = _paired_coordinates(w0, jmax, +1)
+    u0 = fields.anomalous_coordinates(w0, +1, jmax)
     want = _integrate_closed_ode(u0, nu, a, jmax, +1, dt, t_final)[0] / 2
     rel = abs(got - want) / abs(want)
     _require(rel < 1e-6, f"central mode deviates from the closed ODE by {rel:.3e}")
@@ -408,8 +395,8 @@ def check_anomalous_dynamics_match():
         c = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
         c[:, sign + n] = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
         w0 = fields.SpectralField(n, n, c, copy=False)
-        got = _paired_coordinates(final_field(w0, nu, a, dt, t_final), jmax, sign)
-        u0 = _paired_coordinates(w0, jmax, sign)
+        got = fields.anomalous_coordinates(final_field(w0, nu, a, dt, t_final), sign, jmax)
+        u0 = fields.anomalous_coordinates(w0, sign, jmax)
         want = _integrate_closed_ode(u0, nu, a, jmax, sign, dt, t_final)
         rel = np.abs(got - want).max() / np.abs(want).max()
         _require(rel <= 1e-6, f"row l={sign} deviates from the closed ODE by {rel:.3e}")

@@ -14,7 +14,8 @@ file (``--config``) may set the keys ell, trunc, amp, nu and nus of the
 flags its command has; it replaces their defaults, and flags still win.
 Any other key is a usage error; a known key the command has no flag for
 is ignored.
-Exit codes: 0 success, 1 check failure, 2 usage error.
+Exit codes: 0 success, 1 check failure or a run whose state turned
+non-finite (no manifest is written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -99,14 +100,24 @@ def _read_config(path):
 
 
 def _finite_float(text):
-    """The argparse type of every real-valued physical input: ``--nu``,
-    ``--amp``, ``--dt``, ``--t-final`` and each ``--nus`` entry."""
+    """The argparse type of every real-valued physical input: ``--amp``,
+    ``--dt``, ``--t-final``, each ``--nus`` entry and (through
+    :func:`_viscosity`) ``--nu``."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _viscosity(text):
+    """The argparse type of ``--nu``: a finite number that is not negative
+    (nu = 0 is the inviscid case)."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
     return value
 
 
@@ -128,8 +139,6 @@ def cmd_spectrum(args):
 def cmd_sweep(args):
     ell, trunc, amp = args.ell, args.trunc, args.amp
     nus = args.nus
-    if not nus:
-        raise ValueError("empty viscosity list")
     sweep = eigensolve.nu_sweep(ell, trunc, nus, amp, args.variant)
     rows = []
     for nu, spec in sweep:
@@ -153,8 +162,6 @@ def cmd_sweep(args):
 def cmd_collapse(args):
     ell, trunc, amp = args.ell, args.trunc, args.amp
     nus = args.nus
-    if not nus:
-        raise ValueError("empty viscosity list")
     rows = eigensolve.collapse_table(ell, trunc, nus, args.count, amp, args.variant)
     _write_csv(args.out, ("rank", "nu", "re_over_sqrt_nu"), rows)
     params = {
@@ -182,15 +189,15 @@ def _initial_field(spec, trunc, seed):
         seed = int(arg) if arg else seed
         w = fields.random_field(trunc, trunc, seed)
         return (fields.remove_anomalous(w) if kind == "random-fast" else w), seed
-    raise SystemExit2(f"unknown init spec {spec!r}")
+    raise ValueError(f"unknown init spec {spec!r}")
 
 
 def cmd_evolve(args):
     trunc, nu, amp = args.trunc, args.nu, args.amp
     if args.with_x_norm and args.kind == "nonlinear":
-        raise SystemExit2("--with-x-norm applies to --kind linear only")
+        raise ValueError("--with-x-norm applies to --kind linear only")
     if args.grid is not None and args.kind == "linear":
-        raise SystemExit2("--grid applies to --kind nonlinear only")
+        raise ValueError("--grid applies to --kind nonlinear only")
     w0, seed = _initial_field(args.init, trunc, args.seed)
     cfg = evolution.IntegratorConfig(
         dt=args.dt,
@@ -238,7 +245,7 @@ def cmd_hypo(args):
     try:
         constants = hypocoercivity.hypo_constants(m0, amp, ell, nu)
     except ValueError as exc:
-        raise SystemExit2(f"invalid constants: {exc}") from exc
+        raise ValueError(f"invalid constants: {exc}") from exc
     lam_min = math.nan
     if auto:
         lam_min = hypocoercivity._cosine_well_min_eig(constants.beta0, nu, amp, ell)
@@ -282,12 +289,6 @@ def cmd_check(args):
     return 1 if failures else 0
 
 
-class SystemExit2(SystemExit):
-    def __init__(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
-
-
 def build_parser():
     """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
@@ -308,7 +309,7 @@ def build_parser():
     common(p)
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--trunc", type=int, default=100)
-    p.add_argument("--nu", type=_finite_float)
+    p.add_argument("--nu", type=_viscosity)
     p.add_argument("--amp", type=_finite_float, default=1.0)
     p.add_argument(
         "--variant",
@@ -349,7 +350,7 @@ def build_parser():
     )
     p.add_argument("--kind", default="linear", choices=("linear", "nonlinear"))
     p.add_argument("--variant", default="full", choices=("full", "approximate"))
-    p.add_argument("--nu", type=_finite_float)
+    p.add_argument("--nu", type=_viscosity)
     p.add_argument("--amp", type=_finite_float, default=1.0)
     p.add_argument("--trunc", type=int, default=16)
     p.add_argument("--t-final", type=_finite_float, required=True)
@@ -363,7 +364,7 @@ def build_parser():
     p = sub.add_parser("hypo", help="constants, oscillator gap, and decay fit")
     common(p, "--out-prefix")
     p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--nu", type=_finite_float)
+    p.add_argument("--nu", type=_viscosity)
     p.add_argument("--amp", type=_finite_float, default=1.0)
     p.add_argument("--m0", default="auto", help="'auto' or a positive number")
     p.add_argument("--trunc", type=int, default=48)
@@ -395,14 +396,14 @@ def main(argv=None):
             config = _read_config(args.config)
             unknown = sorted(set(config) - set(CONFIG_KEYS))
             if unknown:
-                raise SystemExit2(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
+                raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
             flags = vars(args)
             commands[args.command].set_defaults(
                 **{k: v for k, v in config.items() if k in CONFIG_KEYS and k in flags}
             )
             args = parser.parse_args(argv)
         if "nu" in vars(args) and args.nu is None:
-            raise SystemExit2("--nu is required")
+            raise ValueError("--nu is required")
         run = args.func(args)
         if isinstance(run, int):
             return run
@@ -412,6 +413,9 @@ def main(argv=None):
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:  # the run's own finiteness guard
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -132,6 +132,8 @@ def nu_sweep(ell, trunc, nus, amplitude=1.0, variant="full"):
     a e^{-nu t} equals ``amplitude`` independently of nu.
     """
     nus = [float(v) for v in nus]
+    if not nus:
+        raise ValueError("empty viscosity list")
     if any(v <= 0 for v in nus):
         raise ValueError("viscosities must be positive")
     if len(set(nus)) != len(nus):
@@ -166,6 +168,8 @@ def fit_scaling(sweep):
 def collapse_table(ell, trunc, nus, count, amplitude=1.0, variant="full"):
     """Rows (rank, nu, Re lambda_rank / sqrt(nu)) for the first ``count``
     eigenvalues of each sweep member; rank is 1-based."""
+    if count < 1:
+        raise ValueError(f"count={count} must be at least 1")
     sweep = nu_sweep(ell, trunc, nus, amplitude, variant)
     dim = len(sweep[0][1])
     if count > dim:

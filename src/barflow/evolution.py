@@ -657,6 +657,15 @@ def decay_rate_fit(traj, which="l2", window=None):
     return DecayFit(float(-slope), float(math.exp(intercept)), resid, len(t))
 
 
+def _centered_rate(t, y):
+    """The centered difference (y[2:] - y[:-2]) / (2h) of samples ``y`` at
+    uniformly spaced times ``t`` (spacing h); anything else raises."""
+    h = t[1] - t[0]
+    if not np.allclose(np.diff(t), h, rtol=1e-9, atol=1e-12):
+        raise ValueError("centered differences need uniform sampling")
+    return (y[2:] - y[:-2]) / (2 * h)
+
+
 def enstrophy_balance_residual(traj):
     """Worst normalized defect of d/dt(enstrophy/2) = -nu grad_norm_sq.
 
@@ -672,10 +681,7 @@ def enstrophy_balance_residual(traj):
     z = traj.diagnostics["enstrophy"]
     g = traj.diagnostics["grad_norm_sq"]
     nu = traj.params["nu"]
-    h = t[1] - t[0]
-    if not np.allclose(np.diff(t), h, rtol=1e-9, atol=1e-12):
-        raise ValueError("centered differences need uniform sampling")
-    dzdt_half = (z[2:] - z[:-2]) / (4 * h)
+    dzdt_half = _centered_rate(t, z) / 2
     denom = nu * g[1:-1]
     nonzero = denom != 0.0  # zero field: identity holds trivially
     defect = np.abs(dzdt_half[nonzero] + denom[nonzero]) / denom[nonzero]

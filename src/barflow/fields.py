@@ -19,7 +19,9 @@ interchange format shared by the rest of the package.
 The anomalous subspace is defined by the parity map J of :func:`parity`,
 (J w)(k, l) = (-1)^k w(-k, l): it is the whole l = 0 row plus the J = +1
 part of the rows l = +-1.  Its coordinates are the entries of w + J w on
-those rows, and the projection that removes it keeps (w - J w)/2 there.
+those rows; ``anomalous_coordinates(w, sign, jmax)`` reads them off the
+row l = sign in the variable order of the closed tridiagonal system.  The
+projection that removes the subspace keeps (w - J w)/2 there.
 """
 
 from __future__ import annotations
@@ -233,20 +235,17 @@ def biot_savart(w):
     )
 
 
-def parity_odd(ks):
-    """The odd-k mask of integer wavenumbers ``ks``: the sign pattern of
-    :func:`parity`.  Give ``ks`` the shape that broadcasts against the
-    arrays J acts on (``ks[:, None]`` for a block of rows)."""
-    return np.asarray(ks) % 2 != 0
+def parity(c):
+    """The parity map (J c)(k) = (-1)^k c(-k) along the first axis of ``c``,
+    whose entries are the wavenumbers -n..n (an even length raises).
 
-
-def parity(c, odd):
-    """The parity map (J c)(k) = (-1)^k c(-k) along the first axis of ``c``.
-
-    The first axis runs over wavenumbers symmetric about 0, whose odd-k
-    mask ``odd`` is :func:`parity_odd`.  Odd entries are negated rather
-    than multiplied by -1, which could flip the sign of a zero part.
+    Odd entries are negated rather than multiplied by -1, which could flip
+    the sign of a zero part.
     """
+    if c.shape[0] % 2 == 0:
+        raise ValueError(f"first axis of length {c.shape[0]} is not the wavenumbers -n..n")
+    n = c.shape[0] // 2
+    odd = (np.arange(-n, n + 1) % 2 != 0).reshape((-1,) + (1,) * (c.ndim - 1))
     flipped = c[::-1]
     return np.where(odd, -flipped, flipped)
 
@@ -256,32 +255,20 @@ def _pm1_rows(coeffs, ny):
     return coeffs[:, ny - 1 : ny + 2 : 2]
 
 
-@dataclass(frozen=True)
-class AnomalousCoordinates:
-    """Pairwise mode combinations on the |l| = 1 rows that detect slow content.
+def anomalous_coordinates(w, sign, jmax=None):
+    """The entries k = 0..2 jmax + 1 of w + J w on the row l = sign.
 
-    They are the entries k = 0..2 jmax + 1 of w + J w on the row l = sign:
-    for j = 0..jmax,
+    In that order they are (even_0, odd_0, ..., even_jmax, odd_jmax),
 
-        even_sums_(sign)[j] = what(2j, sign) + what(-2j, sign)
-        odd_diffs_(sign)[j] = what(2j+1, sign) - what(-(2j+1), sign)
+        even_j = what(2j, sign) + what(-2j, sign)
+        odd_j  = what(2j+1, sign) - what(-(2j+1), sign),
 
-    (so even_sums[0] = 2 what(0, sign)).
+    the variables of :func:`barflow.operators.anomalous_generator` (so
+    even_0 = 2 what(0, sign)).  ``jmax`` defaults to the largest value with
+    2*jmax + 1 <= nx, which is required so every referenced mode is stored.
     """
-
-    jmax: int
-    even_sums_plus: np.ndarray
-    odd_diffs_plus: np.ndarray
-    even_sums_minus: np.ndarray
-    odd_diffs_minus: np.ndarray
-
-
-def anomalous_coordinates(w, jmax=None):
-    """Extract the paired even-sum / odd-difference coordinates.
-
-    ``jmax`` defaults to the largest value with 2*jmax + 1 <= nx, which is
-    required so every referenced mode is stored.
-    """
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
     if jmax is None:
         jmax = (w.nx - 1) // 2
     jmax = int(jmax)
@@ -289,11 +276,8 @@ def anomalous_coordinates(w, jmax=None):
         raise ValueError("jmax must be nonnegative")
     if 2 * jmax + 1 > w.nx:
         raise ValueError(f"jmax={jmax} exceeds truncation nx={w.nx}")
-    rows = _pm1_rows(w.coeffs, w.ny)
-    sums = rows + parity(rows, parity_odd(w.wavenumbers()[0]))
-    even = sums[w.nx : w.nx + 2 * jmax + 1 : 2]
-    odd = sums[w.nx + 1 : w.nx + 2 * jmax + 2 : 2]
-    return AnomalousCoordinates(jmax, even[:, 1], odd[:, 1], even[:, 0], odd[:, 0])
+    row = w.coeffs[:, w.ny + sign]
+    return (row + parity(row))[w.nx : w.nx + 2 * jmax + 2]
 
 
 def remove_anomalous(w):
@@ -308,7 +292,7 @@ def remove_anomalous(w):
     c = w.coeffs.copy()
     c[:, w.ny] = 0.0
     rows = _pm1_rows(c, w.ny)
-    rows[...] = (rows - parity(rows, parity_odd(w.wavenumbers()[0]))) / 2
+    rows[...] = (rows - parity(rows)) / 2
     return _wrap(w.nx, w.ny, c, w.real_valued)
 
 

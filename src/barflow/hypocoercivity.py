@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import IntegratorConfig, decay_rate_fit, evolve_linear
+from .evolution import IntegratorConfig, _centered_rate, decay_rate_fit, evolve_linear
 from .fields import TWO_PI, _x_norm_weights, is_anomalous_free
 from .operators import _k_neighbours
 
@@ -363,11 +363,7 @@ def functional_dissipation(traj, constants):
         raise ValueError("functional below floor too early for a centered difference")
     phis = phis[:cut]
     times = times[:cut]
-    h = times[1] - times[0]
-    if not np.allclose(np.diff(times), h, rtol=1e-9, atol=1e-12):
-        raise ValueError("centered differences need uniform sampling")
-    dphi = (phis[2:] - phis[:-2]) / (2 * h)
-    ratios = dphi / phis[1:-1]
+    ratios = _centered_rate(times, phis) / phis[1:-1]
     return DissipationReport(
         float(ratios.min()),
         float(ratios.max()),

@@ -322,8 +322,9 @@ def anomalous_generator(nu, a, t, jmax, sign=+1):
     coordinates on the row l = sign.
 
     Variables are ordered (even_0, odd_0, even_1, odd_1, ..., even_jmax,
-    odd_jmax), matching :class:`barflow.fields.AnomalousCoordinates` for the
-    chosen sign.  With g(m) = 1 - 1/(m^2 + 1) and amp = a e^{-nu t}:
+    odd_jmax): the entries k = 0..2 jmax + 1 of w + J w, which
+    ``barflow.fields.anomalous_coordinates(w, sign, jmax)`` returns.  With
+    g(m) = 1 - 1/(m^2 + 1) and amp = a e^{-nu t}:
 
         d/dt even_0 = -nu even_0 + sign (amp/2) odd_0
         d/dt even_j = -nu (4 j^2 + 1) even_j

@@ -285,10 +285,8 @@ class TestHypoCommand:
 
     def test_invalid_user_constants_rejected(self, tmp_path):
         prefix = str(tmp_path / "bad")
-        with pytest.raises(SystemExit) as exc:
-            main(["hypo", "--ell", "2", "--nu", "0.001", "--m0", "-1.0",
-                  "--t-final", "10", "--dt", "0.1", "--out-prefix", prefix])
-        assert exc.value.code == 2
+        assert exit_code(["hypo", "--ell", "2", "--nu", "0.001", "--m0", "-1.0",
+                          "--t-final", "10", "--dt", "0.1", "--out-prefix", prefix]) == 2
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -312,6 +310,34 @@ def test_non_finite_input_exits_two(tmp_path, monkeypatch, argv, config):
         Path("run.cfg").write_text(config)
         out += ["--config", "run.cfg"]
     assert exit_code([*argv, *out]) == 2
+    assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["evolve", "--init", "random:1", "--nu", "-1", "--dt", "0.1", "--t-final", "100", "--trunc", "16"], None),
+    (["hypo", "--nu", "-1e-3", "--trunc", "8", "--t-final", "1", "--dt", "0.1"], None),
+    (["spectrum", "--nu", "-0.01", "--trunc", "4"], None),
+    (["evolve", "--init", "zero", "--dt", "0.1", "--t-final", "0.2"], "nu=-1\n"),
+    (["sweep", "--trunc", "4"], None),
+    (["collapse", "--trunc", "4"], None),
+    (["collapse", "--nus", "1e-3", "--count", "-3", "--trunc", "5"], None),
+    (["collapse", "--nus", "1e-3", "--count", "0", "--trunc", "5"], None),
+], ids=["evolve-negative-nu", "hypo-negative-nu", "spectrum-negative-nu", "config-negative-nu",
+        "sweep-no-nus", "collapse-no-nus", "collapse-negative-count", "collapse-zero-count"])
+def test_rejected_input_exits_two(tmp_path, monkeypatch, argv, config):
+    # out-of-range input: the same exit 2 with no output as a non-finite one
+    test_non_finite_input_exits_two(tmp_path, monkeypatch, argv, config)
+
+
+def test_non_finite_run_exits_one(tmp_path, monkeypatch, capsys):
+    # past RK4's advective limit the run warns, then its own finiteness
+    # guard fails: one error line, exit 1, no manifest
+    monkeypatch.chdir(tmp_path)
+    with pytest.warns(RuntimeWarning):
+        rc = main(["evolve", "--init", "random:1", "--nu", "0", "--amp", "100", "--dt", "0.1",
+                   "--t-final", "100", "--trunc", "16", "--out-prefix", "x"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: non-finite state at step 23 (t=2.3)"
     assert not list(tmp_path.glob("x*"))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import barflow as bf
-from barflow import checks, eigensolve
+from barflow import checks, eigensolve, operators
 
 # A test whose body is one ``checks.check_*`` call runs that registry
 # invariant; its cases and bounds are stated in barflow/checks.py only.
@@ -78,6 +78,39 @@ def _parity_map(ks):
     for i, k in enumerate(ks):
         jmat[i, mirror[-int(k)]] = (-1.0) ** int(k)
     return jmat
+
+
+def test_parity_map_property():
+    # J commutes with every slice variant bit for bit, and fields.parity is
+    # the same J on arrays over -n..n: an involution that keeps zero signs
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+    @hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        ell=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        trunc=st.integers(2, 24),
+        nu=st.floats(1e-5, 1e-1),
+        a=st.floats(0.0, 5.0),
+        t=st.floats(0.0, 10.0),
+        n=st.integers(0, 6),
+        cols=st.integers(1, 3),
+        data=st.data(),
+    )
+    def check(ell, trunc, nu, a, t, n, cols, data):
+        for variant in ("full", "approximate", "symmetrized", "adjoint"):
+            op = operators.bar_slice_for(ell, trunc, nu, a, t, variant)
+            jmat = _parity_map(op.wavenumbers)
+            assert np.array_equal(jmat @ op.matrix, op.matrix @ jmat), variant
+        parts = data.draw(st.lists(finite, min_size=2 * (2 * n + 1) * cols, max_size=2 * (2 * n + 1) * cols))
+        c = np.array(parts).view(complex).reshape(2 * n + 1, cols)
+        jc = bf.fields.parity(c)
+        assert np.array_equal(jc, _parity_map(np.arange(-n, n + 1)) @ c)
+        assert np.array_equal(bf.fields.parity(jc).view(np.uint64), c.view(np.uint64))
+        assert np.array_equal(bf.fields.parity(c[:, 0].real).view(np.uint64), jc[:, 0].real.view(np.uint64))
+
+    check()
 
 
 class TestParitySectors:
@@ -185,6 +218,8 @@ class TestNuSweep:
         assert fit.slope == pytest.approx(1.0, abs=1e-10)
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="empty"):
+            bf.nu_sweep(2, 10, [])
         with pytest.raises(ValueError):
             bf.nu_sweep(2, 10, [1e-3, 1e-3])
         with pytest.raises(ValueError):
@@ -233,6 +268,11 @@ class TestCollapseTable:
     def test_count_capped(self):
         with pytest.raises(ValueError):
             bf.collapse_table(2, 3, [1e-3], count=100)
+
+    @pytest.mark.parametrize("nus, count", [([], 3), ([1e-3], 0), ([1e-3], -3)], ids=["no-nus", "zero", "negative"])
+    def test_empty_table_rejected(self, nus, count):
+        with pytest.raises(ValueError):
+            bf.collapse_table(2, 5, nus, count)
 
 
 class TestSpectralInvariants:

@@ -310,7 +310,7 @@ def full_array_diagnostics(c):
     l2_sq = float(sq.sum())
     grad = bf.fields.PARSEVAL * float(((ks * ks + ls * ls).astype(float) * sq).sum())
     rows = c[:, ny - 1 : ny + 2 : 2]
-    pairs = rows + bf.fields.parity(rows, bf.fields.parity_odd(ks))
+    pairs = rows + bf.fields.parity(rows)
     max_pq = max(float(np.abs(c[:, ny]).max()), float(np.abs(pairs).max()))
     return math.sqrt(l2_sq), bf.fields.PARSEVAL * l2_sq, grad, max_pq
 

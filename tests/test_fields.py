@@ -81,21 +81,34 @@ class TestBiotSavart:
 class TestAnomalousCoordinates:
     def test_central_mode_doubled(self):
         w = bf.mode_field(8, 2, {(0, 1): 1.0})
-        coords = bf.anomalous_coordinates(w)
-        assert coords.even_sums_plus[0] == 2.0
+        assert bf.anomalous_coordinates(w, +1)[0] == 2.0
 
     def test_antisymmetric_cancels(self):
         w = bf.mode_field(8, 2, {(2, 1): 1.0, (-2, 1): -1.0})
-        assert bf.anomalous_coordinates(w).even_sums_plus[1] == 0.0
+        assert bf.anomalous_coordinates(w, +1)[2] == 0.0
 
     def test_odd_difference(self):
         w = bf.mode_field(8, 2, {(3, 1): 2.0, (-3, 1): 0.5})
-        assert bf.anomalous_coordinates(w).odd_diffs_plus[1] == 1.5
+        assert bf.anomalous_coordinates(w, +1)[3] == 1.5
 
     def test_jmax_beyond_truncation(self):
         w = bf.zero_field(8, 2)
         with pytest.raises(ValueError):
-            bf.anomalous_coordinates(w, jmax=4)
+            bf.anomalous_coordinates(w, +1, jmax=4)
+
+    def test_sign_is_a_unit_row(self):
+        w = bf.zero_field(8, 2)
+        for sign in (0, 2):
+            with pytest.raises(ValueError, match="sign"):
+                bf.anomalous_coordinates(w, sign)
+
+    def test_minus_row(self):
+        w = bf.mode_field(8, 2, {(1, -1): 1.0, (-1, -1): 0.25, (1, 1): 4.0})
+        assert bf.anomalous_coordinates(w, -1, jmax=1).tolist() == [0.0, 0.75, 0.0, 0.0]
+
+    def test_parity_needs_an_odd_axis(self):
+        with pytest.raises(ValueError, match="-n..n"):
+            bf.fields.parity(np.zeros((4, 3)))
 
 
 class TestProjection:
@@ -112,7 +125,7 @@ class TestProjection:
         p = bf.remove_anomalous(bf.mode_field(8, 2, {(2, 1): 1.0}))
         assert p.get(2, 1) == 0.5
         assert p.get(-2, 1) == -0.5
-        assert bf.anomalous_coordinates(p).even_sums_plus[1] == 0.0
+        assert bf.anomalous_coordinates(p, +1)[2] == 0.0
 
     def test_idempotent_and_nonexpansive(self):
         checks.check_projection()
