@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from . import __version__, checks, eigensolve, evolution, fields, hypocoercivity, operators
+from . import __version__, eigensolve, evolution, fields, hypocoercivity, operators
 
 CONFIG_KEYS = ("ell", "trunc", "amp", "nu", "nus")
 
@@ -285,6 +285,8 @@ def cmd_hypo(args):
 
 
 def cmd_check(args):
+    from . import checks  # the registry is compiled only for this command
+
     failures = checks.run_all(golden_dir=args.golden_dir)
     return 1 if failures else 0
 

@@ -25,10 +25,9 @@ from . import operators
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenvalues plus the parameters of the matrix they came from."""
+    """Sorted eigenvalues."""
 
     eigenvalues: np.ndarray
-    params: dict
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -114,7 +113,7 @@ def compute_spectrum(op):
         vals = [np.linalg.eigvals(block) for block in blocks]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed for {op.params()}: {exc}") from exc
-    return Spectrum(_sort(np.concatenate(vals).astype(complex, copy=False)), op.params())
+    return Spectrum(_sort(np.concatenate(vals).astype(complex, copy=False)))
 
 
 def least_decaying(spectrum):

@@ -30,10 +30,15 @@ The pseudo-spectral solver advances the block the 2/3 rule keeps, the
 columns l = 0..cut of the rows k = -cut..cut, cut = (m - 1) // 3 on a grid
 of m points: the layout the linear integrator advances for a
 reality-flagged field.  Only its right-hand side knows numpy's FFT layout:
-it scatters the block into a zero-padded half-spectrum and makes one
+it writes the block into a zero-padded half-spectrum and makes one
 batched inverse and one forward transform, each one axis at a time over
-the columns l = 0..cut only.  It checks the CFL number of every step from
-the velocity its first stage forms; the largest is ``params["max_cfl"]``.
+the columns l = 0..cut only, on buffers allocated once per run.  It checks
+the CFL number of every step from the velocity its first stage forms; the
+largest is ``params["max_cfl"]``.
+
+Both integrators step with numpy's overflow and invalid-value warnings
+off: a run that blows up is reported once, by the recorder's finiteness
+check, which raises ``FloatingPointError``.
 
 Trajectories record scalar diagnostics at every step and full field
 snapshots every ``sample_every`` steps and at the final step (snapshots
@@ -469,16 +474,17 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None, x_norm=Fal
 
     rec.record(0, 0.0)
     start, column_steps = 0, 0
-    while start < n_steps:  # one pass per block, from its first step
-        shear, shear_t = np.zeros(lpref.shape, dtype=complex), None  # the block's shear row
-        stop = _if_rk4(state, e_half, dt, range(start, n_steps), bind_adv, record)
-        column_steps += (stop - start) * state.shape[1]
-        start = stop
-        if start < n_steps:  # narrow to the live columns
-            first, end = live
-            state, e_half, fm, fp, lpref = (x[:, first:end].copy() for x in (state, e_half, fm, fp, lpref))
-            lo, hi = lo + first, lo + end
-            rec.bind((lo, hi), state)
+    with np.errstate(over="ignore", invalid="ignore"):  # the recorder reports a blow-up
+        while start < n_steps:  # one pass per block, from its first step
+            shear, shear_t = np.zeros(lpref.shape, dtype=complex), None  # the block's shear row
+            stop = _if_rk4(state, e_half, dt, range(start, n_steps), bind_adv, record)
+            column_steps += (stop - start) * state.shape[1]
+            start = stop
+            if start < n_steps:  # narrow to the live columns
+                first, end = live
+                state, e_half, fm, fp, lpref = (x[:, first:end].copy() for x in (state, e_half, fm, fp, lpref))
+                lo, hi = lo + first, lo + end
+                rec.bind((lo, hi), state)
     return rec.finish(
         {
             "kind": "linear",
@@ -508,16 +514,22 @@ def _block_advection(m):
     of ``w``.  The column l = 0 of ``out`` is exactly conjugate-symmetric,
     out(-k, 0) == conj(out(k, 0)).
 
-    The block is scattered into the columns l = 0..cut of a zero-padded
+    The block is written into the columns l = 0..cut of a zero-padded
     ``rfft2`` spectrum (k in FFT order) and transformed one axis at a
     time over those columns only; ``irfft`` pads them to m/2 + 1 itself.
     That is bit for bit ``irfft2``/``rfft2`` of the zero-padded
     half-spectrum, which make the same 1-D transforms axis by axis, as the
     skipped columns are zeros going in and masked coming out.  The numpy
     transforms are looked up on ``np.fft`` at each call.
+
+    Every array a call uses is allocated here, once, and each transform
+    writes into its own buffer through ``out=``.  The block's rows
+    k = 0..cut and k = -cut..-1 go straight into the spectrum's rows 0..cut
+    and m - cut..m - 1, and the masked result comes back through the same
+    two row ranges.  So the returned grid is the buffer that the next call
+    overwrites.
     """
     cut = (m - 1) // 3
-    rows = np.arange(-cut, cut + 1) % m
     kx = np.arange(-cut, cut + 1, dtype=float)[:, None]
     ky = np.arange(cut + 1, dtype=float)[None, :]
     k2_safe = kx * kx + ky * ky
@@ -529,14 +541,33 @@ def _block_advection(m):
     )) * scale
     neg = complex(-1.0 / scale)
     spec = np.zeros((4, m, cut + 1), dtype=complex)
+    half = np.empty_like(spec)  # ifft over k
+    grid = np.empty((4, m, m))  # irfft over l
+    line = np.empty((m, m // 2 + 1), dtype=complex)  # rfft over l
+    masked = np.empty((m, cut + 1), dtype=complex)  # fft over k of the kept columns
+    # the rows k >= 0 and k < 0 of the block and the spectrum's rows that
+    # hold the same k; one product per plane and half, as a product over all
+    # four planes at once goes through numpy's buffered iterator, which
+    # allocates
+    block_rows = (slice(cut, None), slice(None, cut))
+    fft_rows = (slice(None, cut + 1), slice(m - cut, None))
+    scatter = [(mult[p, b], spec[p, f], b) for p in range(4) for b, f in zip(block_rows, fft_rows)]
+    gather = [(masked[f], b) for b, f in zip(block_rows, fft_rows)]
+    kept = line[:, : cut + 1]
+    u1, u2, wx, wy = grid
 
     def advect_into(w, out):
-        spec[:, rows] = mult * w
-        grid = np.fft.irfft(np.fft.ifft(spec, axis=1), n=m, axis=2)
-        grid[2] *= grid[0]
-        grid[3] *= grid[1]
-        grid[2] += grid[3]
-        np.multiply(np.fft.fft(np.fft.rfft(grid[2])[:, : cut + 1], axis=0)[rows], neg, out=out)
+        for factor, dest, rows in scatter:
+            np.multiply(factor, w[rows], out=dest)
+        np.fft.ifft(spec, axis=1, out=half)
+        np.fft.irfft(half, n=m, axis=2, out=grid)
+        np.multiply(wx, u1, out=wx)
+        np.multiply(wy, u2, out=wy)
+        np.add(wx, wy, out=wx)
+        np.fft.rfft(wx, out=line)
+        np.fft.fft(kept, axis=0, out=masked)
+        for src, rows in gather:
+            np.multiply(src, neg, out=out[rows])
         out[cut, 0] = 0.0
         # k and -k of the column l = 0 are both stored; the transforms leave
         # them conjugate only to rounding, so write k < 0 from k > 0
@@ -602,8 +633,8 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
 
         def rhs(t):  # the first stage: the velocity at the step's start
             nonlocal max_cfl
-            grid = advect_into(w, out)
-            cfl = float(np.abs(grid[:2]).max()) * dt / dx
+            u = advect_into(w, out)[:2]
+            cfl = max(float(u.max()), -float(u.min())) * dt / dx
             if cfl > 1.0 >= max_cfl:  # warn on the first step over the limit
                 warnings.warn(
                     f"advective CFL number u_max dt / dx = {cfl:.3g} exceeds 1 on "
@@ -616,7 +647,8 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
 
     rec = _Recorder(cut, cut, True, n_steps, config.sample_every, extra_diagnostics, (cut, 2 * cut + 1), state)
     rec.record(0, 0.0)
-    _if_rk4(state, e_half, dt, range(n_steps), bind_rhs, lambda step, w: rec.record(step, step * dt))
+    with np.errstate(over="ignore", invalid="ignore"):  # the recorder reports a blow-up
+        _if_rk4(state, e_half, dt, range(n_steps), bind_rhs, lambda step, w: rec.record(step, step * dt))
     return rec.finish(
         {
             "kind": "nonlinear",

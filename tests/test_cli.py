@@ -250,6 +250,17 @@ class TestEvolveCommand:
                           "--out-prefix", str(tmp_path / "bad")]) == 2
         assert not list(tmp_path.glob("bad*"))
 
+    def test_blow_up_reported_by_the_guard_alone(self, tmp_path):
+        # an unstable linear run overflows; its finiteness guard reports it,
+        # and the only warning is the advective-number one before step 1
+        with pytest.warns(RuntimeWarning) as caught:
+            rc = main(["evolve", "--init", "random:1", "--nu", "0", "--amp", "100",
+                       "--dt", "0.1", "--t-final", "100", "--trunc", "16",
+                       "--out-prefix", str(tmp_path / "bad")])
+        assert rc == 1
+        assert len(caught) == 1
+        assert "advective number" in str(caught[0].message)
+
     def test_determinism_with_seed(self, tmp_path):
         pa = str(tmp_path / "a")
         pb = str(tmp_path / "b")
@@ -355,6 +366,20 @@ def corrupted_golden(tmp_path):
 
 
 class TestCheckCommand:
+    def test_registry_imported_only_by_check(self):
+        src = os.path.dirname(os.path.dirname(bf.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = "import sys, barflow.cli; print('barflow.checks' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_golden_subset_passes(self):
         checks.check_golden_matrices(GOLDEN_DIR)
 

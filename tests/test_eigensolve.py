@@ -195,7 +195,7 @@ class TestLeastDecaying:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            bf.least_decaying(bf.Spectrum(np.array([]), {}))
+            bf.least_decaying(bf.Spectrum(np.array([])))
 
 
 class TestNuSweep:

@@ -711,6 +711,45 @@ class TestEvolveNonlinear:
         bf.evolution._block_advection(32)(block, np.empty_like(block))
         assert sorted(calls) == ["fft", "ifft", "irfft", "rfft"]
 
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_rhs_returns_its_one_grid(self, m):
+        n = (m - 1) // 3
+        advect_into = bf.evolution._block_advection(m)
+        grids = []
+        for seed in (5, 6):
+            block = bf.random_field(n, n, seed).coeffs[:, n:].copy()
+            grids.append(advect_into(block, np.empty_like(block)))
+        assert grids[0] is grids[1]
+
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_rhs_allocates_less_than_a_grid_per_call(self, m):
+        n = (m - 1) // 3
+        block = bf.random_field(n, n, 5).coeffs[:, n:].copy()
+        out = np.empty_like(block)
+        advect_into = bf.evolution._block_advection(m)
+        advect_into(block, out)  # warm-up
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                advect_into(block, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < np.empty((4, m, m)).nbytes
+
+    def test_max_cfl_of_a_negative_peak_velocity(self):
+        # the largest |u| is a negative value: -w flips every velocity exactly
+        m, dt = 32, 0.01
+        n = (m - 1) // 3
+        w0 = bf.random_field(n, n, 5)
+        block = w0.coeffs[:, n:].copy()
+        u = bf.evolution._block_advection(m)(block, np.empty_like(block))[:2]
+        if u.max() > -u.min():
+            w0, u = bf.SpectralField(n, n, -w0.coeffs, real_valued=True), -u
+        assert -u.min() > u.max()
+        traj = bf.evolve_nonlinear(w0, 0.01, bf.IntegratorConfig(dt=dt, t_final=dt, grid=m))
+        assert traj.params["max_cfl"] == np.abs(u).max() * dt / (2 * math.pi / m)
+
     def test_recorded_from_block(self):
         # every step's diagnostics are those of the snapshot the recorder
         # builds, whose columns l < 0 carry no -0 imaginary part
