@@ -347,6 +347,31 @@ def check_reality_preservation():
     _require(worst == 0.0, f"conjugate symmetry drift {worst:.3e}")
 
 
+def check_parity_equivariance():
+    # a linear run commutes with the parity map J exactly: fm(-k) = fp(k), so
+    # J maps each product of the advective term to the same product, and the
+    # flush is symmetric in sign.  Snapshots agree in value, not in every
+    # bit: J negates the odd rows and the recorder writes mirrored zeros as
+    # +0.  Cases: a flagged field; one at nu = 1, whose block narrows; and an
+    # unflagged one on the columns -13..11, whose block narrows from both ends
+    rng = np.random.default_rng(7)
+    c = np.zeros((33, 33), dtype=complex)
+    c[:, 3:28] = rng.standard_normal((33, 25)) + 1j * rng.standard_normal((33, 25))
+    c[16, 16] = 0.0
+    cases = ((fields.random_field(24, 24, 7), 1e-2), (fields.random_field(16, 16, 11), 1.0),
+             (fields.SpectralField(16, 16, c), 1.0))
+    n_steps = 3 * evolution.FLUSH_EVERY + 5
+    cfg = evolution.IntegratorConfig(dt=0.05, t_final=n_steps * 0.05, sample_every=1)
+    for w0, nu in cases:
+        jw0 = fields.SpectralField(w0.nx, w0.ny, fields.parity(w0.coeffs), w0.real_valued)
+        for variant in ("full", "approximate"):
+            traj, jtraj = (evolution.evolve_linear(w, nu, 1.0, variant, cfg) for w in (w0, jw0))
+            for t, f, jf in zip(traj.field_times, traj.fields, jtraj.fields):
+                _require(np.array_equal(jf.coeffs, fields.parity(f.coeffs)),
+                         f"run from J w0 is not J of the run at t={t:.6g} ({variant}, nu={nu}, "
+                         f"flagged={w0.real_valued})")
+
+
 def check_inviscid_conservation():
     w0 = fields.random_field(8, 8, 2, decay=0.15)
     cfg = evolution.IntegratorConfig(dt=1e-3, t_final=1.0, sample_every=500, grid=64)
@@ -527,6 +552,7 @@ ALL_CHECKS = [
     ("evolution/shear-row-diagonal-decay", check_shear_row_diagonal_decay),
     ("evolution/fourth-order", check_fourth_order),
     ("evolution/reality-preservation", check_reality_preservation),
+    ("evolution/parity-equivariance", check_parity_equivariance),
     ("evolution/inviscid-conservation", check_inviscid_conservation),
     ("evolution/anomalous-dynamics-match", check_anomalous_dynamics_match),
     ("hypocoercivity/constants-identities", check_constants_identities),

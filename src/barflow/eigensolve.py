@@ -89,14 +89,7 @@ def _parity_sectors(op):
     else:
         even = (np.r_[diag[h] - sub[h], diag[h + 1 :]], sub[h:], sup[h:])
         odd = (np.r_[diag[h] + sub[h], diag[h + 1 :]], sub[h:], sup[h:])
-    return [operators._tridiagonal(*even), operators._tridiagonal(*odd)]
-
-
-def _blocks(op):
-    """Matrices whose spectra together are the spectrum of ``op``."""
-    _check_finite(op)
-    sectors = _parity_sectors(op) if isinstance(op, operators.OperatorSlice) else None
-    return [op.matrix] if sectors is None else sectors
+    return [operators._banded(d, {(-1,): s, (1,): p}) for d, s, p in (even, odd)]
 
 
 def compute_spectrum(op):
@@ -108,7 +101,9 @@ def compute_spectrum(op):
     Raises ValueError on non-finite entries and RuntimeError (with the
     build parameters attached) if the QR iteration fails to converge.
     """
-    blocks = _blocks(op)
+    _check_finite(op)
+    sectors = _parity_sectors(op) if isinstance(op, operators.OperatorSlice) else None
+    blocks = [op.matrix] if sectors is None else sectors
     try:
         vals = [np.linalg.eigvals(block) for block in blocks]
     except np.linalg.LinAlgError as exc:

@@ -1,9 +1,10 @@
 """Time integration for the linearized and nonlinear vorticity equations.
 
 Both integrators step through one integrating-factor RK4 core,
-:func:`_if_rk4`, and supply only their right-hand side and state layout:
-the diffusion exp(-nu (k^2 + l^2) dt) is applied exactly and the rest
-gets classical RK4 on the transformed variable.  The right-hand side is
+:func:`_if_rk4`, and supply only their right-hand side and state layout,
+with the layout's k^2 + l^2: the core forms the diffusion
+exp(-nu (k^2 + l^2) dt), applies it exactly, and gives the rest classical
+RK4 on the transformed variable.  The right-hand side is
 supplied as a binder, ``bind_rhs(src, out, scratch, first) -> rhs(t)``,
 which the core calls once per stage before the first step, so each stage's
 views are built once and the step loop makes none.  The core steps over a
@@ -63,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PARSEVAL, TWO_PI, _wrap, _x_norm_weights, pair_content_raw
-from .operators import _coupling_factor, _k_neighbours
+from .fields import PARSEVAL, TWO_PI, _velocity_multipliers, _wrap, _x_norm_weights, pair_content_raw
+from .operators import _amplitude, _coupling_factor, _k_neighbours
 
 # Over t ~ 1/nu the integrating factor exp(-nu k^2 t) drives the high modes
 # of the linear state into IEEE subnormals, where arithmetic runs several
@@ -261,7 +262,7 @@ class _Recorder:
             np.square(self.nb_parts, out=self.nb_sq)
             nb_sq = float(np.dot(self.nb_sq, self.nb_weights))
             nu, a = self.x_norm
-            amp = a * math.exp(-nu * t)
+            amp = _amplitude(a, nu, t)
             self.x_norm_out[step] = math.sqrt(TWO_PI * (x_sq[0] + amp * amp * nb_sq))
 
         snapshot = step % self.sample_every == 0 or step == self.n_steps
@@ -292,11 +293,12 @@ class _Recorder:
         )
 
 
-def _if_rk4(state, e_half, dt, steps, bind_rhs, record):
+def _if_rk4(state, nu, lap, dt, steps, bind_rhs, record):
     """Advance ``state`` in place by IF-RK4 steps of size ``dt``, one per
     step number ``n`` of the range ``steps``, each from t = n dt.
 
-    With E = ``e_half`` = exp(-nu |k|^2 dt/2) on the layout of ``state``
+    ``lap`` holds k^2 + l^2 on the layout of ``state``.  With the
+    integrating factor E = exp(-nu lap dt/2), formed here and nowhere else,
     and R the non-diffusive right-hand side, a step evaluates in place, in
     this order, ka = R(w, t), kb = R(E (w + dt/2 ka)), kc = R(E w + dt/2 kb)
     (both at t + dt/2), kd = R(E^2 w + dt (E kc), t + dt) and
@@ -321,6 +323,7 @@ def _if_rk4(state, e_half, dt, steps, bind_rhs, record):
     parts are +0, so each product is the one numpy formed after that cast.
     """
     mul, add = np.multiply, np.add
+    e_half = np.exp(-nu * lap * (dt / 2))
     e_full = (e_half * e_half).astype(state.dtype)
     e_half = e_half.astype(state.dtype)
     half_dt, full_dt, two, sixth_dt = (np.asarray(x, dtype=state.dtype) for x in (dt / 2, dt, 2.0, dt / 6))
@@ -414,7 +417,6 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None, x_norm=Fal
     ks = np.arange(-nx, nx + 1)[:, None]
     ls = np.arange(lo - ny, hi - ny)[None, :]
     lap = (ks * ks + ls * ls).astype(float)
-    e_half = np.exp(-nu * lap * (dt / 2))
     # complex coefficients with +0 imaginary parts (see _if_rk4)
     fm, fp = (f.astype(complex) for f in _k_neighbours(_coupling_factor(ks, ls, variant)))
     lpref = -(ls / 2.0)
@@ -445,7 +447,7 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None, x_norm=Fal
             np.multiply(fp_lo, src_hi, out=scratch_lo)
             np.subtract(out_lo, scratch_lo, out=out_lo)
             if t != shear_t:
-                np.multiply(pref, a * math.exp(-nu * t), out=row_re)
+                np.multiply(pref, _amplitude(a, nu, t), out=row_re)
                 shear_t = t
             np.multiply(out, row, out=out)
 
@@ -477,12 +479,12 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None, x_norm=Fal
     with np.errstate(over="ignore", invalid="ignore"):  # the recorder reports a blow-up
         while start < n_steps:  # one pass per block, from its first step
             shear, shear_t = np.zeros(lpref.shape, dtype=complex), None  # the block's shear row
-            stop = _if_rk4(state, e_half, dt, range(start, n_steps), bind_adv, record)
+            stop = _if_rk4(state, nu, lap, dt, range(start, n_steps), bind_adv, record)
             column_steps += (stop - start) * state.shape[1]
             start = stop
             if start < n_steps:  # narrow to the live columns
                 first, end = live
-                state, e_half, fm, fp, lpref = (x[:, first:end].copy() for x in (state, e_half, fm, fp, lpref))
+                state, lap, fm, fp, lpref = (x[:, first:end].copy() for x in (state, lap, fm, fp, lpref))
                 lo, hi = lo + first, lo + end
                 rec.bind((lo, hi), state)
     return rec.finish(
@@ -511,8 +513,9 @@ def _block_advection(m):
     writes -N(w) into the block ``out``, N the transform of u . grad w
     with the 2/3-rule mask |k|, |l| <= cut and a zero mean, and returns
     the (4, m, m) grid values whose planes 0 and 1 are the velocity u1, u2
-    of ``w``.  The column l = 0 of ``out`` is exactly conjugate-symmetric,
-    out(-k, 0) == conj(out(k, 0)).
+    of ``w``, formed by the multipliers of ``fields.biot_savart``
+    (``fields._velocity_multipliers``).  The column l = 0 of ``out`` is
+    exactly conjugate-symmetric, out(-k, 0) == conj(out(k, 0)).
 
     The block is written into the columns l = 0..cut of a zero-padded
     ``rfft2`` spectrum (k in FFT order) and transformed one axis at a
@@ -532,13 +535,9 @@ def _block_advection(m):
     cut = (m - 1) // 3
     kx = np.arange(-cut, cut + 1, dtype=float)[:, None]
     ky = np.arange(cut + 1, dtype=float)[None, :]
-    k2_safe = kx * kx + ky * ky
-    k2_safe[cut, 0] = 1.0
     scale = m * m  # our coefficients are amplitudes, numpy ffts are unnormalized
     # Biot-Savart u1, u2 and the gradient wx, wy, each scaled by m^2
-    mult = np.stack(np.broadcast_arrays(
-        1j * ky / k2_safe, -1j * kx / k2_safe, 1j * kx, 1j * ky
-    )) * scale
+    mult = np.stack(np.broadcast_arrays(*_velocity_multipliers(kx, ky), 1j * kx, 1j * ky)) * scale
     neg = complex(-1.0 / scale)
     spec = np.zeros((4, m, cut + 1), dtype=complex)
     half = np.empty_like(spec)  # ifft over k
@@ -617,7 +616,6 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
     n_steps = config.n_steps
     kx = np.arange(-cut, cut + 1, dtype=float)[:, None]
     ky = np.arange(cut + 1, dtype=float)[None, :]
-    e_half = np.exp(-nu * (kx * kx + ky * ky) * (dt / 2))
     advect_into = _block_advection(m)
 
     state = np.zeros((2 * cut + 1, cut + 1), dtype=complex)
@@ -648,7 +646,8 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
     rec = _Recorder(cut, cut, True, n_steps, config.sample_every, extra_diagnostics, (cut, 2 * cut + 1), state)
     rec.record(0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # the recorder reports a blow-up
-        _if_rk4(state, e_half, dt, range(n_steps), bind_rhs, lambda step, w: rec.record(step, step * dt))
+        _if_rk4(state, nu, kx * kx + ky * ky, dt, range(n_steps), bind_rhs,
+                lambda step, w: rec.record(step, step * dt))
     return rec.finish(
         {
             "kind": "nonlinear",

@@ -26,7 +26,6 @@ projection that removes the subspace keeps (w - J w)/2 there.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -214,21 +213,26 @@ class VelocityField:
         return float(np.abs(ks * self.u1.coeffs + ls * self.u2.coeffs).max())
 
 
-def biot_savart(w):
-    """Velocity field uhat(k,l) = i (l, -k) what(k,l) / (k^2 + l^2).
+def _velocity_multipliers(ks, ls):
+    """The Biot-Savart multipliers ``(i l / (k^2 + l^2), -i k / (k^2 + l^2))``
+    that take what(k, l) to (u1hat, u2hat), broadcast over ``ks`` and
+    ``ls``; at k = l = 0 the denominator is taken as 1, so both are 0."""
+    k2 = np.asarray(ks * ks + ls * ls, dtype=float)
+    k2 = np.where(k2 == 0, 1.0, k2)
+    return 1j * ls / k2, -1j * ks / k2
 
-    The (0, 0) amplitude must vanish (zero-mean vorticity); the velocity
-    mean is set to zero.
+
+def biot_savart(w):
+    """Velocity field uhat(k,l) = i (l, -k) what(k,l) / (k^2 + l^2), the
+    coefficients times :func:`_velocity_multipliers`, which the nonlinear
+    solver's right-hand side uses too.
+
+    The (0, 0) amplitude must vanish (zero-mean vorticity), so the velocity
+    mean is zero.
     """
     if w.coeffs[w.nx, w.ny] != 0:
         raise ValueError("vorticity must have zero mean")
-    ks, ls = w.wavenumbers()
-    k2 = (ks * ks + ls * ls).astype(float)
-    k2[w.nx, w.ny] = 1.0  # center excluded below
-    u1 = 1j * ls * w.coeffs / k2
-    u2 = -1j * ks * w.coeffs / k2
-    u1[w.nx, w.ny] = 0.0
-    u2[w.nx, w.ny] = 0.0
+    u1, u2 = (m * w.coeffs for m in _velocity_multipliers(*w.wavenumbers()))
     return VelocityField(
         _wrap(w.nx, w.ny, u1, w.real_valued),
         _wrap(w.nx, w.ny, u2, w.real_valued),
@@ -336,13 +340,11 @@ def grad_norm_sq(w):
     return PARSEVAL * float(np.sum((ks * ks + ls * ls) * np.abs(w.coeffs) ** 2))
 
 
-@functools.lru_cache(maxsize=16)
 def _x_norm_weights(nx, ny, nu):
-    """Read-only weights of the mixed norm (``hypocoercivity.x_norm_sq``)
-    on a (2 nx + 1) x (2 ny + 1) array: ``1 + sqrt(nu/|l|) k^2`` on
-    |c|^2 and ``|l|^{1/2} / (4 sqrt(nu))`` on |c(k-1) + c(k+1)|^2, both 0
-    on l = 0.  Both have the array's shape: a broadcast operand costs more
-    per call than the memory it saves."""
+    """Weights of the mixed norm (``hypocoercivity.x_norm_sq``) on a
+    (2 nx + 1) x (2 ny + 1) array: ``1 + sqrt(nu/|l|) k^2`` on |c|^2 and
+    ``|l|^{1/2} / (4 sqrt(nu))`` on |c(k-1) + c(k+1)|^2, both 0 on
+    l = 0."""
     ks = np.arange(-nx, nx + 1, dtype=float)[:, None]
     labs = np.abs(np.arange(-ny, ny + 1, dtype=float))
     sel = labs > 0
@@ -350,8 +352,6 @@ def _x_norm_weights(nx, ny, nu):
     w_sq[:, sel] = 1.0 + np.sqrt(nu / labs[sel]) * (ks * ks)
     w_nb = np.zeros_like(w_sq)
     w_nb[:, sel] = np.sqrt(labs[sel]) / (4 * math.sqrt(nu))
-    w_sq.setflags(write=False)
-    w_nb.setflags(write=False)
     return w_sq, w_nb
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .evolution import IntegratorConfig, _centered_rate, decay_rate_fit, evolve_linear
 from .fields import TWO_PI, _x_norm_weights, is_anomalous_free
-from .operators import _k_neighbours
+from .operators import _amplitude, _banded, _k_neighbours
 
 SQRT2 = math.sqrt(2.0)
 
@@ -71,20 +71,14 @@ class HypoConstants:
     def gamma(self):
         return self.gamma0 / math.sqrt(self.nu)
 
-    def cross_term_ok(self):
-        return self.beta0 * self.beta0 < self.alpha0 * self.gamma0 / 4
-
-    def balance_ok(self):
-        return self.beta0 >= 4 * self.alpha0 * self.alpha0 - 1e-15 * abs(self.beta0)
-
     def validate(self):
         if self.m0 <= 0:
             raise ValueError("m0 must be positive")
         if self.nu <= 0:
             raise ValueError("nu must be positive")
-        if not self.cross_term_ok():
+        if not self.beta0 * self.beta0 < self.alpha0 * self.gamma0 / 4:
             raise ValueError("weights violate beta0^2 < alpha0 gamma0 / 4")
-        if not self.balance_ok():
+        if not self.beta0 >= 4 * self.alpha0 * self.alpha0 - 1e-15 * abs(self.beta0):
             raise ValueError("weights violate beta0 >= 4 alpha0^2")
         return self
 
@@ -129,9 +123,8 @@ def _apply_commutator(c, ell, a, nu, t):
     ``c`` is one row what(k) or a coefficient array with k along its first
     axis; ``ell`` broadcasts against the remaining axes.
     """
-    amp = a * math.exp(-nu * t)
     sm, sp = _k_neighbours(c)
-    return -0.5j * amp * ell * (sm + sp)
+    return -0.5j * _amplitude(a, nu, t) * ell * (sm + sp)
 
 
 def functional_sample(row, constants, t):
@@ -168,8 +161,10 @@ def x_norm_sq(field, nu, a, t=0.0):
         sum (1 + sqrt(nu/|l|) k^2) |c|^2
             + (a e^{-nu t})^2 sum |l|^{1/2} / (4 sqrt(nu)) |c(k-1) + c(k+1)|^2,
 
-    over l != 0.  The weights depend on (nx, ny, nu) only and are built
-    once per triple (a small LRU cache of read-only arrays).
+    over l != 0, with the weights of ``fields._x_norm_weights`` and
+    c(k-1) + c(k+1) formed by ``operators._k_neighbours``.  It is the
+    tests' oracle for the recorder's ``x_norm``, which builds its own
+    neighbour sum on views bound once per block.
     """
     c = field.coeffs
     nx, ny = field.nx, field.ny
@@ -183,16 +178,11 @@ def x_norm_sq(field, nu, a, t=0.0):
                 f"l = 0 content {row0:.3e} exceeds tolerance for the mixed norm"
             )
     w_sq, w_nb = _x_norm_weights(nx, ny, nu)
-    # c(k-1) + c(k+1), with c = 0 beyond the array
-    nb = np.empty_like(c)
-    np.add(c[:-2], c[2:], out=nb[1:-1])
-    nb[0] = c[1]
-    nb[-1] = c[-2]
-    nb_sq = np.abs(nb)
+    nb_sq = np.abs(np.add(*_k_neighbours(c)))
     nb_sq *= nb_sq
     sq *= w_sq
     nb_sq *= w_nb
-    amp = a * math.exp(-nu * t)
+    amp = _amplitude(a, nu, t)
     # np.add.reduce(x, None) is the reduction x.sum() runs, without its wrapper
     return float(TWO_PI * (np.add.reduce(sq, None) + amp * amp * np.add.reduce(nb_sq, None)))
 
@@ -216,11 +206,8 @@ def oscillator_min_eig(c_lap, c_pot, n_modes):
     if n_modes < 2:
         raise ValueError("n_modes must be at least 2")
     ks = np.arange(-n_modes, n_modes + 1)
-    dim = len(ks)
-    mat = np.zeros((dim, dim))
-    mat[np.arange(dim), np.arange(dim)] = c_lap * ks * ks + c_pot / 2.0
-    mat[np.arange(2, dim), np.arange(0, dim - 2)] = c_pot / 4.0
-    mat[np.arange(0, dim - 2), np.arange(2, dim)] = c_pot / 4.0
+    quarter = np.full(len(ks), c_pot / 4.0)
+    mat = _banded(c_lap * ks * ks + c_pot / 2.0, {(-2,): quarter, (2,): quarter})
     try:
         vals = np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
@@ -253,7 +240,7 @@ def estimate_m0(beta0, nu, a, ell, t=0.0, n_modes=128):
 
 def _cosine_well_min_eig(beta0, nu, a, ell, t=0.0, n_modes=128):
     """lambda_min of the oscillator H of :func:`estimate_m0`."""
-    c_pot = (beta0 / (2 * nu)) * (a * ell * math.exp(-nu * t)) ** 2
+    c_pot = (beta0 / (2 * nu)) * (ell * _amplitude(a, nu, t)) ** 2
     return oscillator_min_eig(0.125, c_pot, n_modes)
 
 

@@ -9,13 +9,16 @@ Taylor-Green linearization is a dense matrix whose rows enumerate modes
 (k, l) in lexicographic order, skipping the excluded set; the index map is
 stored explicitly as ``modes``.
 
-The shear coupling is defined once: mode (k, l) couples to (k +- 1, l)
+The shared formulas are defined once.  Mode (k, l) couples to (k +- 1, l)
 through the non-local factor g = 1 - 1/(k^2 + l^2) (:func:`_coupling_factor`,
 1 for the ``approximate`` variant) and the zero-padded neighbour shift
-:func:`_k_neighbours`.  Every slice, dipole operator and field generator
-here is built from those two; :func:`anomalous_generator` keeps its own
-hand-written g as an independent oracle.  Everything is real and stored as
-``float64`` except the purely imaginary :func:`commutator_matrix`.
+:func:`_k_neighbours`; the bar's amplitude a e^{-nu t} is
+:func:`_amplitude`; and every dense banded matrix, the cosine well of
+``hypocoercivity`` included, is assembled from its bands by :func:`_banded`.
+Every slice, dipole operator and field generator here is built from those
+four; :func:`anomalous_generator` keeps its own hand-written g and loops
+as an independent oracle.  Everything is real and stored as ``float64``
+except the purely imaginary :func:`commutator_matrix`.
 
 Couplings that would reference a wavenumber outside the truncation are
 dropped, so boundary rows are missing one coupling; identities that involve
@@ -60,7 +63,7 @@ class OperatorSlice:
     @property
     def matrix(self):
         """The dense matrix, assembled from the bands."""
-        return _tridiagonal(self.diag, self.sub, self.sup)
+        return _banded(self.diag, {(-1,): self.sub, (1,): self.sup})
 
     def params(self):
         return {
@@ -110,6 +113,7 @@ class DipoleOperator:
 
 
 def _amplitude(a, nu, t):
+    """The bar's decaying amplitude a e^{-nu t}."""
     return a * math.exp(-nu * t)
 
 
@@ -144,21 +148,14 @@ def _l_neighbours(c):
     return sm.T, sp.T
 
 
-def _tridiagonal(diag, sub, sup):
-    """Dense matrix of the bands of :class:`OperatorSlice`."""
-    mat = np.diag(diag).astype(np.result_type(diag, sub, sup), copy=False)
-    i = np.arange(1, len(diag))
-    mat[i, i - 1] = sub[1:]
-    mat[i - 1, i] = sup[:-1]
-    return mat
-
-
 def _banded(diag, couplings):
-    """Dense real matrix over a lattice of modes: ``diag`` (a 1D or 2D
-    array, flattened in C order) on the diagonal, and for each
-    ``offset: v`` of ``couplings`` mode m coupled to mode m + offset with
-    weight v[m].  Couplings that would leave the lattice are dropped."""
-    diag = np.asarray(diag, dtype=float)
+    """Dense matrix over a lattice of modes: ``diag`` (a 1D or 2D array,
+    flattened in C order) on the diagonal, and for each ``offset: v`` of
+    ``couplings`` mode m coupled to mode m + offset with weight v[m].
+    Couplings that would leave the lattice are dropped.  The matrix is
+    float64 unless an operand is complex; a slice's bands are
+    ``{(-1,): sub, (1,): sup}``."""
+    diag = np.asarray(diag, dtype=np.result_type(float, diag, *couplings.values()))
     modes = np.indices(diag.shape).reshape(diag.ndim, -1).T
     rows = np.arange(diag.size)
     mat = np.diag(diag.ravel())
@@ -203,7 +200,7 @@ def advection_matrix(ell, trunc, a, t=0.0, nu=0.0):
     sign from column k+1; the matrix is real and antisymmetric.
     """
     op = bar_slice(ell, trunc, nu, a, t, "approximate")
-    return _tridiagonal(np.zeros(op.dim), op.sub, op.sup)
+    return _banded(np.zeros(op.dim), {(-1,): op.sub, (1,): op.sup})
 
 
 def commutator_matrix(ell, trunc, a, t=0.0, nu=0.0):
@@ -214,7 +211,7 @@ def commutator_matrix(ell, trunc, a, t=0.0, nu=0.0):
     is purely imaginary and the only complex one here.
     """
     op = bar_slice(ell, trunc, nu, a, t, "approximate")
-    return 1j * _tridiagonal(np.zeros(op.dim), op.sub, -op.sup)
+    return 1j * _banded(np.zeros(op.dim), {(-1,): op.sub, (1,): -op.sup})
 
 
 def adjoint_slice(op):

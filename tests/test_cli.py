@@ -390,7 +390,7 @@ class TestCheckCommand:
         assert "FAIL golden/matrices" in out
         assert "entry" in out
         others = [name for name, _ in ALL_CHECKS if name != "golden/matrices"]
-        assert len(others) == 27
+        assert len(others) == 28
         for name in others:
             assert f"PASS {name}\n" in out
 

@@ -699,6 +699,19 @@ class TestEvolveNonlinear:
         assert same_bits(grid, want_grid)
         assert same_bits(out, want)
 
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_rhs_velocity_is_biot_savart(self, m):
+        # planes 0 and 1 of the grid are the package's Biot-Savart velocity,
+        # sampled from x = y = 0 (synthesize starts its samples at -pi)
+        n = (m - 1) // 3
+        w = bf.random_field(n, n, 5)
+        block = w.coeffs[:, n:].copy()
+        grid = bf.evolution._block_advection(m)(block, np.empty_like(block))
+        u = bf.biot_savart(w)
+        for plane, component in zip(grid[:2], (u.u1, u.u2)):
+            want = np.roll(bf.synthesize(component, m, m)[2], (-(m // 2), -(m // 2)), axis=(0, 1))
+            assert np.abs(plane - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_rhs_makes_four_transform_calls(self, monkeypatch):
         # the benchmark tracer counts the transforms at their np.fft attributes
         calls = []
