@@ -48,7 +48,6 @@ from .operators import (
 )
 from .eigensolve import (
     ScalingFit,
-    Spectrum,
     collapse_table,
     compute_spectrum,
     eigen_residual,
@@ -78,6 +77,5 @@ from .hypocoercivity import (
     functional_sample,
     hypo_constants,
     oscillator_min_eig,
-    phi_diagnostic,
     x_norm_sq,
 )

@@ -130,7 +130,7 @@ def cmd_spectrum(args):
     ell, trunc, nu, amp = args.ell, args.trunc, args.nu, args.amp
     op = operators.bar_slice_for(ell, trunc, nu, amp, variant=args.variant)
     spec = eigensolve.compute_spectrum(op)
-    rows = [(i + 1, lam.real, lam.imag) for i, lam in enumerate(spec.eigenvalues)]
+    rows = [(i + 1, lam.real, lam.imag) for i, lam in enumerate(spec)]
     _write_csv(args.out, ("rank", "re", "im"), rows)
     params = {"ell": ell, "trunc": trunc, "nu": nu, "amp": amp, "variant": args.variant}
     return args.out, params, [args.out]
@@ -142,7 +142,7 @@ def cmd_sweep(args):
     sweep = eigensolve.nu_sweep(ell, trunc, nus, amp, args.variant)
     rows = []
     for nu, spec in sweep:
-        for i, lam in enumerate(spec.eigenvalues):
+        for i, lam in enumerate(spec):
             rows.append((nu, ell, trunc, args.variant, i + 1, lam.real, lam.imag))
     _write_csv(args.out, ("nu", "ell", "N", "variant", "rank", "re", "im"), rows)
     outputs = [args.out]
@@ -220,21 +220,7 @@ def cmd_evolve(args):
         path = f"{args.out_prefix}_field_{i:04d}.csv"
         fields.save_field(f, path)
         outputs.append(path)
-    params = {
-        "init": args.init,
-        "kind": args.kind,
-        "nu": nu,
-        "trunc": trunc,
-        "dt": args.dt,
-        "t_final": args.t_final,
-        "sample_every": args.sample_every,
-        "seed": seed,
-    }
-    if args.kind == "linear":
-        params.update(variant=args.variant, amp=amp, flushed_parts=traj.params["flushed_parts"],
-                      advective_number=traj.params["advective_number"], column_steps=traj.params["column_steps"])
-    else:
-        params.update(grid=traj.params["grid"], max_cfl=traj.params["max_cfl"])
+    params = {"init": args.init, "trunc": trunc, "sample_every": args.sample_every, "seed": seed, **traj.params}
     return args.out_prefix, params, outputs
 
 

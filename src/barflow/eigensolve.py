@@ -9,9 +9,9 @@ complex solver.  A real bar slice that commutes with the parity map
 :func:`barflow.fields.parity`, ``(J w)(k) = (-1)^k w(-k)``, is split into
 its J = +1 and J = -1 sectors, two real tridiagonal blocks of about half
 the size read off its bands, whose spectra together are the slice's.
-Eigenvalues are sorted by descending real part with ties broken by
-ascending imaginary part, which makes sweep tables and rank-collapse plots
-deterministic.
+A spectrum is a sorted complex array: descending real part with ties
+broken by ascending imaginary part, which makes sweep tables and
+rank-collapse plots deterministic.
 """
 
 from __future__ import annotations
@@ -21,16 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Sorted eigenvalues."""
-
-    eigenvalues: np.ndarray
-
-    def __len__(self):
-        return len(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,7 @@ def _parity_sectors(op):
 
 
 def compute_spectrum(op):
-    """All eigenvalues of a built operator, sorted.
+    """All eigenvalues of a built operator, as a sorted complex array.
 
     Real-dtype matrices are solved in real arithmetic, and real bar slices
     that commute with J one parity sector at a time (see the module
@@ -108,14 +98,14 @@ def compute_spectrum(op):
         vals = [np.linalg.eigvals(block) for block in blocks]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed for {op.params()}: {exc}") from exc
-    return Spectrum(_sort(np.concatenate(vals).astype(complex, copy=False)))
+    return _sort(np.concatenate(vals).astype(complex, copy=False))
 
 
 def least_decaying(spectrum):
     """First eigenvalue under the sort order (largest real part)."""
     if len(spectrum) == 0:
         raise ValueError("empty spectrum")
-    return complex(spectrum.eigenvalues[0])
+    return complex(spectrum[0])
 
 
 def nu_sweep(ell, trunc, nus, amplitude=1.0, variant="full"):
@@ -139,15 +129,12 @@ def nu_sweep(ell, trunc, nus, amplitude=1.0, variant="full"):
 
 
 def fit_scaling(sweep):
-    """Log-log fit of |Re lambda_1| against nu over a sweep result.
+    """Log-log fit of |Re lambda_1| against nu over ``[(nu, spectrum), ...]``,
+    the result of :func:`nu_sweep`.
 
-    Accepts either ``[(nu, Spectrum), ...]`` or ``[(nu, value), ...]``.
     Needs at least three samples; a vanishing |Re lambda_1| is rejected.
     """
-    points = []
-    for nu, item in sweep:
-        value = abs(least_decaying(item).real) if isinstance(item, Spectrum) else abs(item)
-        points.append((float(nu), float(value)))
+    points = [(float(nu), abs(least_decaying(spec).real)) for nu, spec in sweep]
     if len(points) < 3:
         raise ValueError("need at least 3 samples for a scaling fit")
     if any(v == 0 for _, v in points):
@@ -170,7 +157,7 @@ def collapse_table(ell, trunc, nus, count, amplitude=1.0, variant="full"):
         raise ValueError(f"count={count} exceeds matrix dimension {dim}")
     rows = []
     for nu, spec in sweep:
-        scaled = spec.eigenvalues.real[:count] / np.sqrt(nu)
+        scaled = spec.real[:count] / np.sqrt(nu)
         for rank in range(count):
             rows.append((rank + 1, nu, float(scaled[rank])))
     return rows

@@ -123,8 +123,9 @@ class IntegratorConfig:
 class Trajectory:
     """Time-sampled evolution output.
 
-    ``times``/``diagnostics`` cover every step; ``fields`` holds snapshots
-    at ``field_times``.
+    ``params`` records what the integrator ran, ``t_final`` as the n dt it
+    integrated; ``times``/``diagnostics`` cover every step; ``fields`` holds
+    snapshots at ``field_times``.
     """
 
     params: dict
@@ -139,7 +140,6 @@ class DecayFit:
     rate: float
     amplitude: float
     max_residual: float
-    n_samples: int
 
 
 class _Recorder:
@@ -323,7 +323,9 @@ def _if_rk4(state, nu, lap, dt, steps, bind_rhs, record):
     parts are +0, so each product is the one numpy formed after that cast.
     """
     mul, add = np.multiply, np.add
-    e_half = np.exp(-nu * lap * (dt / 2))
+    e_half = np.multiply(lap, -nu)
+    e_half *= dt / 2
+    np.exp(e_half, out=e_half)
     e_full = (e_half * e_half).astype(state.dtype)
     e_half = e_half.astype(state.dtype)
     half_dt, full_dt, two, sixth_dt = (np.asarray(x, dtype=state.dtype) for x in (dt / 2, dt, 2.0, dt / 6))
@@ -397,11 +399,11 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None, x_norm=Fal
     field whose column l = 0 exceeds 1e-10 of its norm raises
     ``ValueError`` at the first such step.  ``extra_diagnostics`` maps
     names to callables ``f(field, t) -> float`` evaluated at every step on
-    the full array (e.g. ``hypocoercivity.phi_diagnostic``).  Tiny parts
-    of the block are flushed to zero every ``FLUSH_EVERY`` steps (module
-    comment); ``params["flushed_parts"]`` is the number of nonzero parts
-    flushed from the full array, so a part of a column l >= 1 of a
-    reality-flagged field counts twice, once more for its mirror in -l.
+    the full array.  Tiny parts of the block are flushed to zero every
+    ``FLUSH_EVERY`` steps (module comment); ``params["flushed_parts"]`` is
+    the number of nonzero parts flushed from the full array, so a part of
+    a column l >= 1 of a reality-flagged field counts twice, once more for
+    its mirror in -l.
 
     ``params["advective_number"]`` is dt |a| max|l| over the block the run
     starts with (0 for a block of only l = 0).  It bounds |omega| dt for
@@ -491,7 +493,7 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None, x_norm=Fal
         {
             "kind": "linear",
             "nu": nu,
-            "a": a,
+            "amp": a,
             "variant": variant,
             "dt": dt,
             "t_final": n_steps * dt,
@@ -664,7 +666,7 @@ def decay_rate_fit(traj, which="l2", window=None):
     """Exponential decay rate of a squared norm over a time window.
 
     Fits ln(norm^2) against t by least squares and returns
-    ``DecayFit(rate, amplitude, max_residual, n_samples)`` with
+    ``DecayFit(rate, amplitude, max_residual)`` with
     norm^2 ~ amplitude * exp(-rate t).  Diagnostics stored as plain norms
     (``l2``, ``x_norm``) are squared; others (``enstrophy``, functional
     values) are fitted as-is.
@@ -685,7 +687,7 @@ def decay_rate_fit(traj, which="l2", window=None):
         logy = 2 * logy
     slope, intercept = np.polyfit(t, logy, 1)
     resid = float(np.abs(logy - (slope * t + intercept)).max())
-    return DecayFit(float(-slope), float(math.exp(intercept)), resid, len(t))
+    return DecayFit(float(-slope), float(math.exp(intercept)), resid)
 
 
 def _centered_rate(t, y):

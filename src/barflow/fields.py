@@ -145,25 +145,37 @@ def mode_field(nx, ny, entries, real_valued=False):
     return SpectralField(nx, ny, c, real_valued=real_valued, copy=False)
 
 
+def _exact_state(m, nx, ny, axes, phase, t, nu, amplitude):
+    """a e^{-nu m^2 t} times the sum of cos(m x) and cos(m y) (or sin) over
+    the ``axes`` it names, ``"x"`` or ``"xy"``, as a field: two nonzero
+    coefficients per axis.  Raises if m exceeds the truncation of an axis.
+    """
+    m = int(m)
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    for axis, n in (("x", nx), ("y", ny)):
+        if axis in axes and m > n:
+            raise ValueError(f"m={m} exceeds truncation n{axis}={n}")
+    amp = amplitude * math.exp(-nu * m * m * t)
+    if phase == "cos":
+        plus, minus = amp / 2, amp / 2
+    elif phase == "sin":
+        plus, minus = -0.5j * amp, 0.5j * amp
+    else:
+        raise ValueError("phase must be 'cos' or 'sin'")
+    entries = {}
+    for k, l in ({"x": (m, 0), "y": (0, m)}[axis] for axis in axes):
+        entries[k, l], entries[-k, -l] = plus, minus
+    return mode_field(nx, ny, entries, real_valued=True)
+
+
 def bar_state(m, nx, ny, phase="cos", t=0.0, nu=0.0, amplitude=1.0):
     """Exact shear solution a e^{-nu m^2 t} cos(mx) (or sin) as a field.
 
     Exactly two coefficients are nonzero.  Raises if m exceeds the
     truncation.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if m > nx:
-        raise ValueError(f"m={m} exceeds truncation nx={nx}")
-    amp = amplitude * math.exp(-nu * m * m * t)
-    if phase == "cos":
-        entries = {(m, 0): amp / 2, (-m, 0): amp / 2}
-    elif phase == "sin":
-        entries = {(m, 0): -0.5j * amp, (-m, 0): 0.5j * amp}
-    else:
-        raise ValueError("phase must be 'cos' or 'sin'")
-    return mode_field(nx, ny, entries, real_valued=True)
+    return _exact_state(m, nx, ny, "x", phase, t, nu, amplitude)
 
 
 def dipole_state(m, nx, ny, phase="cos", t=0.0, nu=0.0, amplitude=1.0):
@@ -171,29 +183,7 @@ def dipole_state(m, nx, ny, phase="cos", t=0.0, nu=0.0, amplitude=1.0):
 
     Four nonzero coefficients; otherwise analogous to :func:`bar_state`.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if m > nx or m > ny:
-        raise ValueError(f"m={m} exceeds truncation ({nx}, {ny})")
-    amp = amplitude * math.exp(-nu * m * m * t)
-    if phase == "cos":
-        entries = {
-            (m, 0): amp / 2,
-            (-m, 0): amp / 2,
-            (0, m): amp / 2,
-            (0, -m): amp / 2,
-        }
-    elif phase == "sin":
-        entries = {
-            (m, 0): -0.5j * amp,
-            (-m, 0): 0.5j * amp,
-            (0, m): -0.5j * amp,
-            (0, -m): 0.5j * amp,
-        }
-    else:
-        raise ValueError("phase must be 'cos' or 'sin'")
-    return mode_field(nx, ny, entries, real_valued=True)
+    return _exact_state(m, nx, ny, "xy", phase, t, nu, amplitude)
 
 
 @dataclass(frozen=True)

@@ -187,16 +187,6 @@ def x_norm_sq(field, nu, a, t=0.0):
     return float(TWO_PI * (np.add.reduce(sq, None) + amp * amp * np.add.reduce(nb_sq, None)))
 
 
-def phi_diagnostic(constants):
-    """Per-step trajectory diagnostic: the functional of one ell-row."""
-
-    def diag(field, t):
-        row = field.coeffs[:, constants.ell + field.ny]
-        return functional_sample(row, constants, t).phi_value
-
-    return diag
-
-
 def oscillator_min_eig(c_lap, c_pot, n_modes):
     """Smallest eigenvalue of -c_lap d^2/dx^2 + c_pot cos^2(x) on the
     circle, discretized over e^{ikx}, |k| <= n_modes.
@@ -274,7 +264,6 @@ class EnhancedDecayFit:
     m: float
     k: float
     max_residual: float
-    n_samples: int
 
 
 def decay_check(w0, nu, a, t_final, dt):
@@ -309,7 +298,6 @@ def decay_check(w0, nu, a, t_final, dt):
         m=fit.rate / math.sqrt(nu),
         k=fit.amplitude / x0_sq,
         max_residual=fit.max_residual,
-        n_samples=fit.n_samples,
     )
 
 
@@ -320,12 +308,11 @@ class DissipationReport:
     min_ratio: float
     max_ratio: float
     n_interior: int
-    times: np.ndarray
-    ratios: np.ndarray
 
 
 def functional_dissipation(traj, constants):
-    """Ratios (dPhi/dt) / Phi at interior snapshot times of one ell-row.
+    """Extreme ratios (dPhi/dt) / Phi over the interior snapshot times of
+    one ell-row.
 
     The row ell = constants.ell is read off the stored snapshots, so the
     trajectory must keep every step (sample_every = 1).  Samples from the
@@ -341,7 +328,7 @@ def functional_dissipation(traj, constants):
     phis = np.array(phis)
     times = traj.field_times
     if np.all(phis == 0):
-        return DissipationReport(math.nan, math.nan, 0, np.array([]), np.array([]))
+        return DissipationReport(math.nan, math.nan, 0)
     cut = len(phis)
     below = np.nonzero(phis < 1e-280)[0]
     if len(below):
@@ -351,10 +338,4 @@ def functional_dissipation(traj, constants):
     phis = phis[:cut]
     times = times[:cut]
     ratios = _centered_rate(times, phis) / phis[1:-1]
-    return DissipationReport(
-        float(ratios.min()),
-        float(ratios.max()),
-        len(ratios),
-        times[1:-1],
-        ratios,
-    )
+    return DissipationReport(float(ratios.min()), float(ratios.max()), len(ratios))

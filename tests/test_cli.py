@@ -235,6 +235,22 @@ class TestEvolveCommand:
         header, _ = read_csv(prefix + "_diagnostics.csv")
         assert "max_cfl" not in header
 
+    @pytest.mark.parametrize("kind, init, w0, run", [
+        ("linear", "random-fast:7", bf.remove_anomalous(bf.random_field(6, 6, 7)),
+         lambda w0, cfg: bf.evolve_linear(w0, 0.01, 1.5, "approximate", cfg)),
+        ("nonlinear", "dipole:1", bf.dipole_state(1, 6, 6), lambda w0, cfg: bf.evolve_nonlinear(w0, 0.01, cfg)),
+    ], ids=["linear", "nonlinear"])
+    def test_manifest_params_are_the_run_params(self, tmp_path, kind, init, w0, run):
+        # the trajectory's own params, plus the four that only the command knows
+        prefix = str(tmp_path / kind)
+        assert main(["evolve", "--init", init, "--kind", kind, "--variant", "approximate",
+                     "--nu", "0.01", "--amp", "1.5", "--trunc", "6", "--t-final", "0.3",
+                     "--dt", "0.1", "--sample-every", "2", "--seed", "3", "--out-prefix", prefix]) == 0
+        traj = run(w0, bf.IntegratorConfig(dt=0.1, t_final=0.3, sample_every=2))
+        seed = 7 if kind == "linear" else 3
+        want = {"init": init, "trunc": 6, "sample_every": 2, "seed": seed, **traj.params}
+        assert read_manifest(prefix)["params"] == want
+
     def test_nonlinear_rejects_with_x_norm(self, tmp_path):
         assert exit_code(["evolve", "--init", "barmode:1", "--kind", "nonlinear",
                           "--nu", "0.01", "--trunc", "4", "--t-final", "0.02",
@@ -390,7 +406,7 @@ class TestCheckCommand:
         assert "FAIL golden/matrices" in out
         assert "entry" in out
         others = [name for name, _ in ALL_CHECKS if name != "golden/matrices"]
-        assert len(others) == 28
+        assert len(others) == 29
         for name in others:
             assert f"PASS {name}\n" in out
 

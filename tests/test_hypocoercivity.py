@@ -256,7 +256,7 @@ class TestDiagnosticsIntegration:
         cfg = bf.IntegratorConfig(dt=0.1, t_final=1.0, sample_every=1)
         traj = bf.evolve_linear(
             w0, nu, 1.0, "approximate", cfg,
-            extra_diagnostics={"phi": bf.phi_diagnostic(cst)},
+            extra_diagnostics={"phi": lambda f, t: bf.functional_sample(f.coeffs[:, 2 + f.ny], cst, t).phi_value},
         )
         row = traj.fields[0].coeffs[:, 2 + 3]
         s = bf.functional_sample(row, cst, 0.0)
