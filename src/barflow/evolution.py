@@ -47,13 +47,16 @@ bound the memory; the diagnostics stored at snapshot times are
 re-derivable from the snapshots).  The times and every diagnostic are
 stored in float64 arrays allocated for all steps up front.  Both
 integrators hand the recorder, at every step from step 0 on, their state
-itself, the block of columns they advance.  The recorder reads every
-built-in diagnostic, the mixed X-norm included, off that block and alone
-builds the full array, only on the steps that hand a field out: snapshot
-steps, the final step, and every step when extra diagnostics are present.
-The benchmark tracer's per-step clock is an extra diagnostic, so traced
-runs build the full array at every step, and traced step times include
-that work.
+itself, the block of columns they advance.  The recorder copies the block
+into a small stack of steps and reads every built-in diagnostic, the mixed
+X-norm included, off the stack in one pass per stack, from sums over k per
+column and step; so a blow-up is reported at its first non-finite step, up
+to a stack's depth of steps after it.  It alone builds the full array,
+only on the steps that hand a field out: snapshot steps, the final step,
+and every step when extra diagnostics are present.  The benchmark tracer's
+per-step clock is an extra diagnostic, so traced runs build the full array
+at every step, and traced step times include that work and land each
+stack's reduction on one step.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PARSEVAL, TWO_PI, _velocity_multipliers, _wrap, _x_norm_weights, pair_content_raw
+from .fields import PARSEVAL, TWO_PI, _velocity_multipliers, _wrap, _x_norm_columns, pair_content_raw
 from .operators import _amplitude, _coupling_factor, _k_neighbours
 
 # Over t ~ 1/nu the integrating factor exp(-nu k^2 t) drives the high modes
@@ -79,6 +82,9 @@ from .operators import _amplitude, _coupling_factor, _k_neighbours
 #   on each row, and with conjugation.
 FLUSH_EVERY = 64
 FLUSH_BELOW = 1e-290
+
+# The recorder's stack of blocks takes at most this many bytes (_Recorder).
+_STACK_BYTES = 128 * 1024
 
 # The linear IF-RK4 step multiplies an advective mode of frequency omega,
 # whose diffusion rate is d, by e^{-d dt} R(i omega dt) with R the RK4
@@ -151,25 +157,40 @@ class _Recorder:
     :class:`Trajectory` without a copy.
 
     :meth:`record` reads ``block``, the array an integrator advances in
-    place, so every view of it and every weight is built once per block,
-    by :meth:`bind`.  The block holds the columns ``cols = (lo, hi)`` of
-    the full ``(2 nx + 1) x (2 ny + 1)`` array, and every diagnostic is
-    read off it: ``l2``, ``enstrophy``, ``grad_norm_sq`` and, with
-    ``x_norm = (nu, a)``, the mixed norm ``x_norm`` of
-    ``hypocoercivity.x_norm_sq`` are weighted sums of the squared real and
-    imaginary parts of the block, one matrix-vector product per step.
-    Each weight carries the multiplicity of its column in the full array:
-    2 for a column l >= 1 of a reality-flagged field, whose mirror -l has
-    the same |c|^2, else 1.  ``max_pq`` reads the block's columns l = 0
-    and +-1: the row l = -1 of a flagged field mirrors the row l = +1
-    exactly, and a block with no column |l| <= 1 gives 0.0.  The mixed norm
-    rejects, as ``x_norm_sq`` does, a field whose column l = 0 exceeds
-    1e-10 of its norm.
+    place; it holds the columns ``cols = (lo, hi)`` of the full
+    ``(2 nx + 1) x (2 ny + 1)`` array, and every view and weight is built
+    once per block, by :meth:`bind`.  Steps are recorded in order, one
+    after another, and each copies the block into the next entry of a
+    stack of blocks, up to ``FLUSH_EVERY`` deep within ``_STACK_BYTES`` (a
+    block larger than that is its own stack, and nothing is copied).  The
+    stack's built-in diagnostics are computed in one pass: when it is full,
+    at step 0 alone (so a field rejected at t = 0 fails before the first
+    step), before :meth:`bind` moves to another block, and in
+    :meth:`finish`.  Per step and column l it sums over k S0 = sum |c|^2,
+    S2 = sum k^2 |c|^2 and, with ``x_norm = (nu, a)``,
+    N0 = sum |c(k-1) + c(k+1)|^2 (c = 0 beyond the block), one matrix
+    product per step.  With m_l the multiplicity of column l in the full
+    array (2 for a column l >= 1 of a reality-flagged field, whose mirror
+    -l has the same |c|^2, else 1), l2^2 = sum_l m_l S0, the gradient norm
+    is (2 pi)^2 (sum_l m_l S2 + sum_l m_l l^2 S0), and ``x_norm`` is the
+    mixed norm of ``hypocoercivity.x_norm_sq``, sqrt(2 pi) times
+    sqrt(sum_{l != 0} m_l S0 + sum_l m_l sqrt(nu/|l|) S2
+    + (a e^{-nu t})^2 sum_l m_l |l|^{1/2} / (4 sqrt(nu)) N0).  Each step's
+    sums read only its own entry, in an order fixed by the block's shape,
+    so the diagnostics do not depend on the depth of the stack.
 
-    The full array is built only on the steps that hand it out: snapshot
-    steps, the final step, and every step when extra diagnostics, called
-    as ``f(field, t)``, are present (the benchmark tracer's per-step clock
-    is one), which all get the same read-only field over it.
+    ``max_pq`` reads the columns l = 0 and +-1: the row l = -1 of a flagged
+    field mirrors the row l = +1 exactly, and a block with no column
+    |l| <= 1 gives 0.0.  The first step of a stack whose l2^2 is not
+    finite raises ``FloatingPointError``, naming that step; with
+    ``x_norm``, the first one whose column l = 0 exceeds 1e-10 of its norm
+    raises ``ValueError``, as ``x_norm_sq`` does.  So a run may step past
+    a blow-up to the end of its stack before it is reported.
+
+    The full array is built from the block on the steps that hand it out:
+    snapshot steps, the final step, and every step when extra diagnostics,
+    called as ``f(field, t)``, are present (the benchmark tracer's per-step
+    clock is one), which all get the same read-only field over it.
     """
 
     def __init__(self, nx, ny, real_valued, n_steps, sample_every, extra_diagnostics, cols, block, x_norm=None):
@@ -180,11 +201,6 @@ class _Recorder:
         self.sample_every = sample_every
         self.extra = extra_diagnostics or {}
         self.x_norm = x_norm
-        self.full = np.empty((2 * nx + 1, 2 * ny + 1), dtype=complex)
-        self.bind(cols, block)
-        # one read-only field over the reused full array, handed to every
-        # extra diagnostic
-        self.view = _wrap(nx, ny, self.full.view(), real_valued)
         self.times = np.empty(n_steps + 1)
         names = ("l2", "enstrophy", "grad_norm_sq", "max_pq", *(("x_norm",) if x_norm else ()))
         self.diag = {name: np.empty(n_steps + 1) for name in (*names, *self.extra)}
@@ -193,77 +209,77 @@ class _Recorder:
         self.extra_out = [(fn, self.diag[name]) for name, fn in self.extra.items()]
         self.field_times = []
         self.fields = []
+        self.full = np.empty((2 * nx + 1, 2 * ny + 1), dtype=complex)
+        self.count = 0  # the steps in the stack
+        self.bind(cols, block)
+        # one read-only field over the reused full array, handed to every
+        # extra diagnostic
+        self.view = _wrap(nx, ny, self.full.view(), real_valued)
 
     def bind(self, cols, block):
         """Read from now on ``block``, a C-contiguous array holding the
-        columns ``cols = (lo, hi)`` of the full array, which must hold
-        every nonzero part; for a reality-flagged field ``lo`` is the column
-        l = 0."""
+        columns ``cols = (lo, hi)`` of the full array, which must hold every
+        nonzero part; for a reality-flagged field ``lo`` is the column
+        l = 0.  The steps recorded from the previous block are reduced
+        first."""
+        if self.count:
+            self._reduce()
         nx, ny = self.nx, self.ny
         lo, hi = cols
         self.block = block
-        if not block.flags.c_contiguous:  # else the flat view below would be a copy
+        if not block.flags.c_contiguous:  # else the float view below would be a copy
             raise ValueError("the recorded block must be C-contiguous")
-        self.parts = block.view(float).reshape(-1)
-        self.parts_sq = np.empty_like(self.parts)
-        ks = np.arange(-nx, nx + 1)[:, None]
-        ls = np.arange(lo - ny, hi - ny)[None, :]
+        depth = max(1, min(FLUSH_EVERY, _STACK_BYTES // max(block.nbytes, 1)))
+        # a stack is reduced whole: the entries past the steps it holds are
+        # zeros or steps already recorded, and their results are not read
+        self.stack = block[None] if depth == 1 else np.zeros((depth, *block.shape), dtype=complex)
+        self.slots = None if depth == 1 else list(self.stack)
+        self.depth = depth
+        self.parts = self.stack.view(float)  # (step, k, real and imaginary part of each column)
+        # the squared parts, and with the X-norm first c(k-1) + c(k+1) (c = 0
+        # beyond the block), then its squared parts
+        self.scratch = np.empty_like(self.stack)
+        self.parts_sq = self.scratch.view(float)
+        ls = np.arange(lo - ny, hi - ny)
         mult = np.where(self.real_valued & (ls > 0), 2.0, 1.0)
-        weights = [mult, mult * (ks * ks + ls * ls)]
-
-        def per_part(w):  # one weight per real or imaginary part of the block
-            return np.repeat(np.broadcast_to(w, block.shape), 2, axis=1).ravel()
-
+        # per step: sum_k of every part with the weights 1 and k^2, then
+        # per column S0, S2 and N0, picked into the terms of l2^2, of the
+        # gradient norm's sums of m_l S2 and m_l l^2 S0, and of the
+        # X-norm's three sums, each with its column weight
+        self.k_weights = np.stack([np.ones(2 * nx + 1), np.arange(-nx, nx + 1, dtype=float) ** 2])
+        self.part_sums = np.empty((depth, 2, 2 * (hi - lo)))
+        self.moments = np.empty((depth, 3, hi - lo))
+        self.pick = [0, 1, 0]
+        weights = [mult, mult, mult * ls * ls]
         if self.x_norm:
-            w_sq, w_nb = _x_norm_weights(nx, ny, self.x_norm[0])
-            weights.append(mult * w_sq[:, lo:hi])
-            # c(k-1) + c(k+1) of the block, c = 0 beyond it
-            self.nb = np.empty_like(block)
-            self.nb_parts = self.nb.view(float).reshape(-1)
-            self.nb_sq = np.empty_like(self.nb_parts)
-            self.nb_weights = per_part(mult * w_nb[:, lo:hi])
-            self.nb_mid, self.nb_first, self.nb_last = self.nb[1:-1], self.nb[0], self.nb[-1]
-            self.block_below, self.block_above = block[:-2], block[2:]
-            self.block_second, self.block_penultimate = block[1], block[-2]
-        self.weights = np.stack([per_part(w) for w in weights], axis=1)  # one column per sum
-        self.sums = np.zeros(len(weights))
+            root, nb = _x_norm_columns(ls, self.x_norm[0])
+            self.pick += [0, 1, 2]
+            weights += [np.where(ls != 0, mult, 0.0), root * mult, nb * mult]
+            self.nb_sums = np.empty((depth, 1, 2 * (hi - lo)))
+            row = hi - lo  # the rows of the flat stack are hi - lo entries apart
+            flat, flat_nb = self.stack.reshape(-1), self.scratch.reshape(-1)
+            self.flat_neighbours = flat[: flat.size - 2 * row], flat[2 * row :], flat_nb[row : flat.size - row]
+        self.weights = np.stack(weights)
         self.full.fill(0.0)
         self.full_block = self.full[:, lo:hi]
         if self.real_valued:  # the columns l < 0 and the block's columns l > 0 they mirror
             self.full_mirror = self.full[:, 2 * ny + 1 - hi : ny]
             self.block_mirrored = block[::-1, hi - lo - 1 : 0 : -1]
             self.full_mirror_imag = self.full_mirror.imag
-        # max_pq reads the column l = 0 and the columns l = +-1 of the block
-        self.shear_col = block[:, ny - lo] if lo <= ny < hi else None
-        self.shear_abs = None if self.shear_col is None else np.empty(self.shear_col.shape)
+        # max_pq reads the column l = 0 and the columns l = +-1 of the stack
+        self.shear_col = ny - lo if lo <= ny < hi else None
         pm1 = [ny + l - lo for l in (-1, 1) if lo <= ny + l < hi]
-        self.pm1 = block[:, pm1[0] : pm1[-1] + 1 : 2] if pm1 else None
+        self.pm1 = slice(pm1[0], pm1[-1] + 1, 2) if pm1 else None
 
     def record(self, step, t):
         """Record step ``step`` at time ``t`` from the block."""
-        np.square(self.parts, out=self.parts_sq)
-        l2_sq, grad_sq, *x_sq = np.dot(self.parts_sq, self.weights, out=self.sums).tolist()
-        if not math.isfinite(l2_sq):
-            raise FloatingPointError(f"non-finite state at step {step} (t={t:.6g})")
         self.times[step] = t
-        self.l2[step] = math.sqrt(l2_sq)
-        self.enstrophy[step] = PARSEVAL * l2_sq
-        self.grad_norm_sq[step] = PARSEVAL * grad_sq
-        shear = 0.0 if self.shear_col is None else np.maximum.reduce(
-            np.abs(self.shear_col, out=self.shear_abs), None)
-        pairs = 0.0 if self.pm1 is None else pair_content_raw(self.pm1)
-        self.max_pq[step] = max(shear, pairs)
-        if self.x_norm:
-            if shear > 1e-10 * max(math.sqrt(l2_sq), 1e-300):
-                raise ValueError(f"l = 0 content {shear:.3e} exceeds tolerance for the mixed norm")
-            np.add(self.block_below, self.block_above, out=self.nb_mid)
-            np.copyto(self.nb_first, self.block_second)
-            np.copyto(self.nb_last, self.block_penultimate)
-            np.square(self.nb_parts, out=self.nb_sq)
-            nb_sq = float(np.dot(self.nb_sq, self.nb_weights))
-            nu, a = self.x_norm
-            amp = _amplitude(a, nu, t)
-            self.x_norm_out[step] = math.sqrt(TWO_PI * (x_sq[0] + amp * amp * nb_sq))
+        if self.slots is not None:
+            np.copyto(self.slots[self.count], self.block)
+        self.count += 1
+        self.stop = step + 1
+        if self.count == self.depth or step == 0:
+            self._reduce()
 
         snapshot = step % self.sample_every == 0 or step == self.n_steps
         if not (snapshot or self.extra):
@@ -283,7 +299,60 @@ class _Recorder:
             self.field_times.append(t)
             self.fields.append(_wrap(self.nx, self.ny, self.full.copy(), self.real_valued))
 
+    def _reduce(self):
+        """Write the diagnostics of the steps in the stack, and empty it."""
+        n, stop = self.count, self.stop
+        first = stop - n
+        self.count = 0
+        stack, moments = self.stack, self.moments
+        np.square(self.parts, out=self.parts_sq)
+        np.matmul(self.k_weights, self.parts_sq, out=self.part_sums)  # one product per step
+        np.add(self.part_sums[..., 0::2], self.part_sums[..., 1::2], out=moments[:, :2])
+        if self.x_norm:
+            # c(k-1) + c(k+1) on the whole stack as one flat array, then its
+            # first and last rows, where that sum reads a neighbouring step
+            nb = self.scratch
+            below, above, out = self.flat_neighbours
+            np.add(below, above, out=out)
+            np.copyto(nb[:, 0], stack[:, 1])
+            np.copyto(nb[:, -1], stack[:, -2])
+            np.square(self.parts_sq, out=self.parts_sq)
+            np.matmul(self.k_weights[:1], self.parts_sq, out=self.nb_sums)
+            np.add(self.nb_sums[..., 0::2], self.nb_sums[..., 1::2], out=moments[:, 2:])
+        terms = moments[:n, self.pick]
+        terms *= self.weights
+        sums = np.add.reduce(terms, axis=-1)
+        l2_sq = sums[:, 0]
+        shear = np.zeros(n) if self.shear_col is None else np.abs(stack[:n, :, self.shear_col]).max(axis=-1)
+        pairs = 0.0 if self.pm1 is None else pair_content_raw(stack[:n, :, self.pm1])
+
+        # at the first step that fails a check, finiteness is checked first
+        failed = ~np.isfinite(l2_sq)
+        if self.x_norm:
+            failed |= shear > 1e-10 * np.maximum(np.sqrt(l2_sq), 1e-300)
+        if failed.any():
+            i = int(np.argmax(failed))
+            if not math.isfinite(l2_sq[i]):
+                raise FloatingPointError(f"non-finite state at step {first + i} (t={self.times[first + i]:.6g})")
+            raise ValueError(f"l = 0 content {shear[i]:.3e} exceeds tolerance for the mixed norm")
+        steps = slice(first, stop)
+        np.sqrt(l2_sq, out=self.l2[steps])
+        np.multiply(l2_sq, PARSEVAL, out=self.enstrophy[steps])
+        grad_sq = np.add(sums[:, 1], sums[:, 2], out=self.grad_norm_sq[steps])
+        grad_sq *= PARSEVAL
+        np.maximum(shear, pairs, out=self.max_pq[steps])
+        if self.x_norm:
+            nu, a = self.x_norm
+            amp = np.array([_amplitude(a, nu, t) for t in self.times[steps].tolist()])
+            amp *= amp
+            amp *= sums[:, 5]
+            amp += np.add(sums[:, 3], sums[:, 4])
+            amp *= TWO_PI
+            np.sqrt(amp, out=self.x_norm_out[steps])
+
     def finish(self, params):
+        if self.count:
+            self._reduce()
         return Trajectory(
             params=params,
             times=self.times,
@@ -489,19 +558,19 @@ def evolve_linear(w0, nu, a, variant, config, extra_diagnostics=None, x_norm=Fal
                 state, lap, fm, fp, lpref = (x[:, first:end].copy() for x in (state, lap, fm, fp, lpref))
                 lo, hi = lo + first, lo + end
                 rec.bind((lo, hi), state)
-    return rec.finish(
-        {
-            "kind": "linear",
-            "nu": nu,
-            "amp": a,
-            "variant": variant,
-            "dt": dt,
-            "t_final": n_steps * dt,
-            "flushed_parts": flushed,
-            "advective_number": advective,
-            "column_steps": column_steps,
-        }
-    )
+        return rec.finish(
+            {
+                "kind": "linear",
+                "nu": nu,
+                "amp": a,
+                "variant": variant,
+                "dt": dt,
+                "t_final": n_steps * dt,
+                "flushed_parts": flushed,
+                "advective_number": advective,
+                "column_steps": column_steps,
+            }
+        )
 
 
 def _block_advection(m):
@@ -650,16 +719,16 @@ def evolve_nonlinear(w0, nu, config, extra_diagnostics=None):
     with np.errstate(over="ignore", invalid="ignore"):  # the recorder reports a blow-up
         _if_rk4(state, nu, kx * kx + ky * ky, dt, range(n_steps), bind_rhs,
                 lambda step, w: rec.record(step, step * dt))
-    return rec.finish(
-        {
-            "kind": "nonlinear",
-            "nu": nu,
-            "grid": m,
-            "dt": dt,
-            "t_final": n_steps * dt,
-            "max_cfl": max_cfl,
-        }
-    )
+        return rec.finish(
+            {
+                "kind": "nonlinear",
+                "nu": nu,
+                "grid": m,
+                "dt": dt,
+                "t_final": n_steps * dt,
+                "max_cfl": max_cfl,
+            }
+        )
 
 
 def decay_rate_fit(traj, which="l2", window=None):

@@ -291,17 +291,20 @@ def remove_anomalous(w):
 
 
 def pair_content_raw(rows):
-    """max |c + J c| over the columns of ``rows``, whose first axis runs
-    over the wavenumbers -n..n (0.0 for no column).
+    """max |c + J c| over the columns of ``rows``, whose axis -2 runs over
+    the wavenumbers -n..n (0.0 for no column).  A leading axis, if there is
+    one, stacks such arrays, and the result is then an array of one
+    maximum per entry.
 
     (c + J c)(-k) is +-(c + J c)(k), bit for bit up to the sign of a zero
     part, so only k >= 0 is formed: c(k) + c(-k) at even k and
     c(k) - c(-k) at odd k, read through strided views with no flipped copy.
     """
-    n = rows.shape[0] // 2
-    even = np.abs(rows[n::2] + rows[n::-2]).max(initial=0.0)
-    odd = np.abs(rows[n + 1 :: 2] - rows[n - 1 :: -2]).max(initial=0.0)
-    return float(max(even, odd))
+    n = rows.shape[-2] // 2
+    even = np.abs(rows[..., n::2, :] + rows[..., n::-2, :])
+    odd = np.abs(rows[..., n + 1 :: 2, :] - rows[..., n - 1 :: -2, :])
+    pairs = np.maximum(*(np.maximum.reduce(x, (-2, -1), initial=0.0) for x in (even, odd)))
+    return float(pairs) if rows.ndim == 2 else pairs
 
 
 def anomalous_content(w):
@@ -330,19 +333,28 @@ def grad_norm_sq(w):
     return PARSEVAL * float(np.sum((ks * ks + ls * ls) * np.abs(w.coeffs) ** 2))
 
 
-def _x_norm_weights(nx, ny, nu):
-    """Weights of the mixed norm (``hypocoercivity.x_norm_sq``) on a
-    (2 nx + 1) x (2 ny + 1) array: ``1 + sqrt(nu/|l|) k^2`` on |c|^2 and
-    ``|l|^{1/2} / (4 sqrt(nu))`` on |c(k-1) + c(k+1)|^2, both 0 on
-    l = 0."""
-    ks = np.arange(-nx, nx + 1, dtype=float)[:, None]
-    labs = np.abs(np.arange(-ny, ny + 1, dtype=float))
+def _x_norm_columns(ls, nu):
+    """The column factors of the mixed norm (``hypocoercivity.x_norm_sq``)
+    on the columns ``ls``: ``sqrt(nu/|l|)``, which multiplies k^2 |c|^2,
+    and ``|l|^{1/2} / (4 sqrt(nu))``, the weight of |c(k-1) + c(k+1)|^2,
+    both 0 on l = 0."""
+    labs = np.abs(ls).astype(float)
     sel = labs > 0
-    w_sq = np.zeros((2 * nx + 1, 2 * ny + 1))
-    w_sq[:, sel] = 1.0 + np.sqrt(nu / labs[sel]) * (ks * ks)
-    w_nb = np.zeros_like(w_sq)
-    w_nb[:, sel] = np.sqrt(labs[sel]) / (4 * math.sqrt(nu))
-    return w_sq, w_nb
+    root, nb = np.zeros(labs.shape), np.zeros(labs.shape)
+    root[sel] = np.sqrt(nu / labs[sel])
+    nb[sel] = np.sqrt(labs[sel]) / (4 * math.sqrt(nu))
+    return root, nb
+
+
+def _x_norm_weights(nx, ny, nu):
+    """Weights of the mixed norm on a (2 nx + 1) x (2 ny + 1) array:
+    ``1 + sqrt(nu/|l|) k^2`` on |c|^2 and ``|l|^{1/2} / (4 sqrt(nu))`` on
+    |c(k-1) + c(k+1)|^2, both 0 on l = 0 (:func:`_x_norm_columns`)."""
+    ks = np.arange(-nx, nx + 1, dtype=float)[:, None]
+    ls = np.arange(-ny, ny + 1)
+    root, nb = _x_norm_columns(ls, nu)
+    w_sq = np.where(ls != 0, 1.0 + root * (ks * ks), 0.0)
+    return w_sq, np.broadcast_to(nb, w_sq.shape).copy()
 
 
 def synthesize(w, grid_x=None, grid_y=None):

@@ -163,8 +163,8 @@ def x_norm_sq(field, nu, a, t=0.0):
 
     over l != 0, with the weights of ``fields._x_norm_weights`` and
     c(k-1) + c(k+1) formed by ``operators._k_neighbours``.  It is the
-    tests' oracle for the recorder's ``x_norm``, which builds its own
-    neighbour sum on views bound once per block.
+    tests' oracle for the recorder's ``x_norm``, which sums over k per
+    column and step on a stack of blocks.
     """
     c = field.coeffs
     nx, ny = field.nx, field.ny

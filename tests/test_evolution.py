@@ -183,22 +183,27 @@ def gamma(n):
 
 def sum_rounding_terms(shape):
     """n of the bound 2 gamma_n between two evaluations of one quadratic
-    diagnostic of a coefficient array of ``shape``.
+    diagnostic of a coefficient array of ``shape``, M coefficients in R
+    rows.
 
     Each diagnostic (l2^2, enstrophy, grad_norm_sq, x_norm^2) is a sum of
     nonnegative terms, and a sum computed in any order is within gamma_n of
     the exact one when every term passes through at most n roundings
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     section 4.2); two such evaluations are within 2 gamma_n of each other.
-    The recorder sums the 2 M squared real and imaginary parts of an array
-    of M coefficients (its block, weighted by each column's multiplicity),
-    the full-array oracles M terms |c|^2, so a term meets at most 2 M - 1
-    additions, plus 8 roundings that form it (hypot, square, weight) and
-    scale its sum (by amp^2, the sum of the two X-norm sums, and the factor
-    (2 pi)^2 or 2 pi).  The square root of l2 and x_norm halves the bound.
-    A square that underflows adds an absolute error of at most 2^-1074
-    instead, negligible against the sums compared here."""
-    return 2 * math.prod(shape) + 8
+    A whole-array oracle forms M terms: |c| (hypot, within 1 ulp, so 2),
+    its square (1), a weight (at most 3 for |l|^{1/2} / (4 sqrt(nu)), 4 for
+    1 + sqrt(nu/|l|) k^2) and its product (1), and for the X-norm's
+    neighbour sum c(k-1) + c(k+1) (1); a term then meets at most M - 1
+    additions and 4 roundings that scale and join the sums (amp^2, its
+    product, the sum of the two X-norm sums and 2 pi): M + 11 at most.
+    The recorder sums, per column of its block, the squared real and
+    imaginary parts over the R rows (at most R - 1 additions), adds the
+    two (1) and the columns (at most C - 1 for C columns, C R <= M), with
+    at most 10 roundings besides: fewer.  The square root of l2 and x_norm
+    halves the bound.  A square that underflows adds an absolute error of
+    at most 2^-1074 instead, negligible against the sums compared here."""
+    return math.prod(shape) + 11
 
 
 def within_sum_bound(got, want, shape):
@@ -465,6 +470,112 @@ def test_recorder_matches_full_array_oracles_property():
             assert d["max_pq"] == bf.anomalous_content(w), step
 
     check()
+
+
+class TestRecorderStack:
+    # the recorder reduces its diagnostics once per stack of blocks; the
+    # private byte budget sets the depth: 1 holds one block per stack, and
+    # 2^40 the full FLUSH_EVERY
+    BUDGETS = (1, 2**40)
+
+    @staticmethod
+    def flagged_narrowing():
+        # TestNarrowing's field: 17 columns narrowing to 15, 11 and 9
+        n = 16
+        c = bf.random_field(n, n, 11).coeffs
+        sign = np.where(np.arange(-n, n + 1) % 2 == 0, 1.0, -1.0)[:, None]
+        w0 = bf.SpectralField(n, n, (c + sign * c[::-1, :]) / 2, real_valued=True)
+        return lambda cfg, extra: bf.evolve_linear(w0, 1.0, 1.0, "full", cfg, extra)
+
+    @staticmethod
+    def one_column_x_norm():
+        w0 = bf.seeded_row_field(48, 2, 2, 1)  # the hypo workload's field
+        return lambda cfg, extra: bf.evolve_linear(w0, 1e-4, 1.0, "approximate", cfg, extra, x_norm=True)
+
+    @staticmethod
+    def unflagged_zero():
+        w0 = bf.SpectralField(5, 4)  # an empty block
+        return lambda cfg, extra: bf.evolve_linear(w0, 0.1, 1.0, "full", cfg, extra)
+
+    @staticmethod
+    def nonlinear():
+        w0 = bf.random_field(10, 10, 3, decay=0.3)
+        return lambda cfg, extra: bf.evolve_nonlinear(w0, 0.01, cfg, extra)
+
+    @pytest.mark.parametrize(
+        "make, dt, n_steps",
+        [
+            (flagged_narrowing, 0.05, 3 * bf.evolution.FLUSH_EVERY + 5),
+            (one_column_x_norm, 0.2, 2 * bf.evolution.FLUSH_EVERY + 7),
+            (unflagged_zero, 0.05, bf.evolution.FLUSH_EVERY + 3),
+            (nonlinear, 1e-3, 50),
+        ],
+        ids=["flagged-narrowing", "one-column-x-norm", "unflagged-zero", "nonlinear"],
+    )
+    def test_depth_does_not_change_a_bit(self, monkeypatch, make, dt, n_steps):
+        run = make()
+        sparse = bf.IntegratorConfig(dt=dt, t_final=n_steps * dt, sample_every=10**6, grid=32)
+        every = bf.IntegratorConfig(dt=dt, t_final=n_steps * dt, sample_every=1, grid=32)
+        want = run(sparse, None)
+        names = list(want.diagnostics)
+
+        def same_diagnostics(traj):
+            return all(same_bits(traj.diagnostics[name], want.diagnostics[name]) for name in names)
+
+        assert same_diagnostics(run(every, None))
+        assert same_diagnostics(run(sparse, {"probe": lambda field, t: t}))
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(bf.evolution, "_STACK_BYTES", budget)
+            assert same_diagnostics(run(sparse, None)), budget
+            assert same_diagnostics(run(every, {"probe": lambda field, t: t})), budget
+
+    def test_blow_up_reports_its_first_non_finite_step(self, monkeypatch):
+        # dt |a| l = 30, far past RK4's stability bound: the one column
+        # grows by about 10^4 a step and overflows inside the first full
+        # stack, steps 1..64
+        w0 = bf.seeded_row_field(8, 3, 3, 0)
+        cfg = bf.IntegratorConfig(dt=0.1, t_final=20.0)
+        assert bf.evolution._STACK_BYTES // (17 * 16) >= bf.evolution.FLUSH_EVERY
+
+        def failing_step():
+            with pytest.warns(RuntimeWarning, match="advective number"):
+                with pytest.raises(FloatingPointError, match="non-finite state at step") as caught:
+                    bf.evolve_linear(w0, 0.0, 100.0, "full", cfg)
+            return str(caught.value)
+
+        stacked = failing_step()
+        monkeypatch.setattr(bf.evolution, "_STACK_BYTES", 1)
+        assert failing_step() == stacked
+        step = int(re.search(r"step (\d+)", stacked).group(1))
+        assert 1 < step < bf.evolution.FLUSH_EVERY - 1
+
+    def test_l0_rejection_keeps_its_message(self, monkeypatch):
+        # the column l = 0 decays at nu, the column l = 2 at least at 4 nu,
+        # so l = 0 content of 2e-11 of the norm passes at t = 0 and exceeds
+        # 1e-10 of it within the first stack
+        c = np.zeros((9, 5), dtype=complex)
+        c[:, 4] = np.random.default_rng(2).standard_normal(9)
+        c[5, 2] = 2e-11 * np.linalg.norm(c)
+        w0 = bf.SpectralField(4, 2, c)
+        cfg = bf.IntegratorConfig(dt=0.02, t_final=2.0)
+
+        def message():
+            with pytest.raises(ValueError, match="l = 0 content") as caught:
+                bf.evolve_linear(w0, 1.0, 0.5, "full", cfg, x_norm=True)
+            return str(caught.value)
+
+        stacked = message()
+        monkeypatch.setattr(bf.evolution, "_STACK_BYTES", 1)
+        assert message() == stacked
+
+    def test_rejected_at_t0_fails_before_the_first_step(self):
+        # step 0 is reduced alone, before any field is handed out
+        w0 = bf.random_field(6, 6, 1)  # l = 0 populated
+        seen = []
+        cfg = bf.IntegratorConfig(dt=0.05, t_final=1.0)
+        with pytest.raises(ValueError, match="l = 0 content"):
+            bf.evolve_linear(w0, 0.01, 1.0, "full", cfg, {"probe": lambda field, t: seen.append(t)}, x_norm=True)
+        assert seen == []
 
 
 class TestRecorderStorage:
